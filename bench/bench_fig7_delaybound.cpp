@@ -58,31 +58,6 @@ std::string CheckpointBase;        ///< --checkpoint <base>: per-run files.
 double CheckpointIntervalFlag = 30; ///< --checkpoint-interval seconds.
 bool ResumeFlag = false;           ///< --resume: continue per-run files.
 
-const char *visitedModeName(VisitedMode M) {
-  switch (M) {
-  case VisitedMode::Exact:
-    return "exact";
-  case VisitedMode::Fingerprint:
-    return "fingerprint";
-  case VisitedMode::Compact:
-    return "compact";
-  }
-  return "?";
-}
-
-VisitedMode parseVisitedMode(const char *S) {
-  if (!std::strcmp(S, "exact"))
-    return VisitedMode::Exact;
-  if (!std::strcmp(S, "compact"))
-    return VisitedMode::Compact;
-  if (!std::strcmp(S, "fingerprint"))
-    return VisitedMode::Fingerprint;
-  std::fprintf(stderr,
-               "unknown --visited-mode '%s' (exact|fingerprint|compact)\n",
-               S);
-  std::exit(2);
-}
-
 Reduction parseReductionOrExit(const char *S) {
   Reduction R;
   if (parseReduction(S, R))
@@ -242,6 +217,8 @@ struct BugCase {
 
 int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
+    if (parseVisitedFlag(argc, argv, I, VisitedFlag, VisitedCapFlag))
+      continue;
     if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
       WorkersFlag = std::atoi(argv[++I]);
     else if (!std::strcmp(argv[I], "--fault-budget") && I + 1 < argc)
@@ -250,10 +227,6 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
       ReportPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--visited-mode") && I + 1 < argc)
-      VisitedFlag = parseVisitedMode(argv[++I]);
-    else if (!std::strcmp(argv[I], "--visited-cap") && I + 1 < argc)
-      VisitedCapFlag = std::strtoull(argv[++I], nullptr, 10);
     else if (!std::strcmp(argv[I], "--reduction") && I + 1 < argc)
       ReduceFlag = parseReductionOrExit(argv[++I]);
     else if (!std::strcmp(argv[I], "--quick"))

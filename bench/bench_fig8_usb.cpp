@@ -70,31 +70,6 @@ void installCrashSafety(CheckOptions &Opts, const std::string &RunSlug) {
   }
 }
 
-const char *visitedModeName(VisitedMode M) {
-  switch (M) {
-  case VisitedMode::Exact:
-    return "exact";
-  case VisitedMode::Fingerprint:
-    return "fingerprint";
-  case VisitedMode::Compact:
-    return "compact";
-  }
-  return "?";
-}
-
-VisitedMode parseVisitedMode(const char *S) {
-  if (!std::strcmp(S, "exact"))
-    return VisitedMode::Exact;
-  if (!std::strcmp(S, "compact"))
-    return VisitedMode::Compact;
-  if (!std::strcmp(S, "fingerprint"))
-    return VisitedMode::Fingerprint;
-  std::fprintf(stderr,
-               "unknown --visited-mode '%s' (exact|fingerprint|compact)\n",
-               S);
-  std::exit(2);
-}
-
 Reduction parseReductionOrExit(const char *S) {
   Reduction R;
   if (parseReduction(S, R))
@@ -127,16 +102,14 @@ void printMachineSizes(const CompiledProgram &Prog) {
 
 int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
+    if (parseVisitedFlag(argc, argv, I, VisitedFlag, VisitedCapFlag))
+      continue;
     if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
       WorkersFlag = std::atoi(argv[++I]);
     else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
       ReportPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--visited-mode") && I + 1 < argc)
-      VisitedFlag = parseVisitedMode(argv[++I]);
-    else if (!std::strcmp(argv[I], "--visited-cap") && I + 1 < argc)
-      VisitedCapFlag = std::strtoull(argv[++I], nullptr, 10);
     else if (!std::strcmp(argv[I], "--reduction") && I + 1 < argc)
       ReduceFlag = parseReductionOrExit(argv[++I]);
     else if (!std::strcmp(argv[I], "--progress"))

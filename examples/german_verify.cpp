@@ -69,19 +69,6 @@ static CompiledProgram compileOrExit(const std::string &Src) {
   return std::move(*R.Program);
 }
 
-static VisitedMode parseVisitedMode(const char *S) {
-  if (!std::strcmp(S, "exact"))
-    return VisitedMode::Exact;
-  if (!std::strcmp(S, "compact"))
-    return VisitedMode::Compact;
-  if (!std::strcmp(S, "fingerprint"))
-    return VisitedMode::Fingerprint;
-  std::fprintf(stderr,
-               "unknown --visited-mode '%s' (exact|fingerprint|compact)\n",
-               S);
-  std::exit(2);
-}
-
 static Reduction parseReductionOrExit(const char *S) {
   Reduction R;
   if (parseReduction(S, R))
@@ -89,18 +76,6 @@ static Reduction parseReductionOrExit(const char *S) {
   std::fprintf(stderr, "unknown --reduction '%s' (off|sleep|symmetry|both)\n",
                S);
   std::exit(2);
-}
-
-static const char *visitedModeName(VisitedMode M) {
-  switch (M) {
-  case VisitedMode::Exact:
-    return "exact";
-  case VisitedMode::Fingerprint:
-    return "fingerprint";
-  case VisitedMode::Compact:
-    return "compact";
-  }
-  return "?";
 }
 
 int main(int argc, char **argv) {
@@ -120,6 +95,8 @@ int main(int argc, char **argv) {
   bool Resume = false;
   uint64_t FrontierMem = 0;
   for (int I = 1; I < argc; ++I) {
+    if (parseVisitedFlag(argc, argv, I, Visited, VisitedCap))
+      continue;
     if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
       Workers = std::atoi(argv[++I]);
     else if (!std::strcmp(argv[I], "--trace") && I + 1 < argc)
@@ -136,10 +113,6 @@ int main(int argc, char **argv) {
       Clients = std::atoi(argv[++I]);
     else if (!std::strcmp(argv[I], "--delay") && I + 1 < argc)
       Delay = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--visited-mode") && I + 1 < argc)
-      Visited = parseVisitedMode(argv[++I]);
-    else if (!std::strcmp(argv[I], "--visited-cap") && I + 1 < argc)
-      VisitedCap = std::strtoull(argv[++I], nullptr, 10);
     else if (!std::strcmp(argv[I], "--reduction") && I + 1 < argc)
       Reduce = parseReductionOrExit(argv[++I]);
     else if (!std::strcmp(argv[I], "--expect-states") && I + 1 < argc)

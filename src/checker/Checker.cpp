@@ -8,6 +8,9 @@
 
 #include "checker/ParallelSearch.h"
 
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace p;
@@ -25,6 +28,59 @@ bool p::parseReduction(const char *Name, Reduction &Out) {
       return true;
     }
   return false;
+}
+
+const char *p::visitedModeName(VisitedMode M) {
+  switch (M) {
+  case VisitedMode::Exact:
+    return "exact";
+  case VisitedMode::Fingerprint:
+    return "fingerprint";
+  case VisitedMode::Compact:
+    return "compact";
+  }
+  return "?";
+}
+
+bool p::parseVisitedMode(const char *Name, VisitedMode &Out) {
+  for (VisitedMode M :
+       {VisitedMode::Exact, VisitedMode::Fingerprint, VisitedMode::Compact})
+    if (!std::strcmp(Name, visitedModeName(M))) {
+      Out = M;
+      return true;
+    }
+  return false;
+}
+
+bool p::parseVisitedFlag(int Argc, char **Argv, int &I, VisitedMode &Mode,
+                         uint64_t &CapBytes) {
+  const char *Flag = Argv[I];
+  const bool IsMode = !std::strcmp(Flag, "--visited-mode");
+  if (!IsMode && std::strcmp(Flag, "--visited-cap"))
+    return false;
+  if (I + 1 >= Argc) {
+    std::fprintf(stderr, "%s needs a value\n", Flag);
+    std::exit(2);
+  }
+  const char *Value = Argv[++I];
+  bool Ok;
+  if (IsMode) {
+    Ok = parseVisitedMode(Value, Mode);
+  } else {
+    // strtoull alone accepts "64M" as 64 and "-1" as 2^64-1: demand a
+    // plain decimal byte count that fits.
+    char *End = nullptr;
+    errno = 0;
+    CapBytes = std::strtoull(Value, &End, 10);
+    Ok = *Value >= '0' && *Value <= '9' && *End == '\0' && errno != ERANGE;
+  }
+  if (!Ok) {
+    std::fprintf(stderr, "%s wants %s, got '%s'\n", Flag,
+                 IsMode ? "exact|fingerprint|compact" : "a decimal byte count",
+                 Value);
+    std::exit(2);
+  }
+  return true;
 }
 
 std::string CoverageReport::str(const CompiledProgram &Prog) const {

@@ -253,7 +253,7 @@ void appendU64s(const std::vector<uint64_t> &Vs, ByteWriter &W) {
 
 bool readU64s(ByteReader &R, std::vector<uint64_t> &Vs) {
   uint64_t N = R.u64();
-  if (!R.ok())
+  if (!R.ok() || N > R.remaining() / 8)
     return false;
   Vs.clear();
   Vs.reserve(N);
@@ -262,52 +262,26 @@ bool readU64s(ByteReader &R, std::vector<uint64_t> &Vs) {
   return R.ok();
 }
 
-void appendSleepDoms(const std::vector<CheckpointData::SleepDom> &Ds,
-                     ByteWriter &W) {
-  W.u64(Ds.size());
-  for (const auto &D : Ds) {
-    W.i32(D.Delays);
-    W.u64(D.Mask);
-  }
-}
-
-bool readSleepDoms(ByteReader &R,
-                   std::vector<CheckpointData::SleepDom> &Ds) {
-  uint64_t N = R.u64();
-  if (!R.ok())
-    return false;
-  Ds.clear();
-  Ds.reserve(N);
-  for (uint64_t I = 0; I != N; ++I) {
-    CheckpointData::SleepDom D;
-    D.Delays = R.i32();
-    D.Mask = R.u64();
-    Ds.push_back(D);
-  }
-  return R.ok();
-}
-
-void appendCompact(const CheckpointData::CompactImage &C, ByteWriter &W) {
-  W.u64(C.PerStripe);
-  appendU64s(C.Fps, W);
-  W.u64(C.Delays.size());
-  for (int32_t D : C.Delays)
+void appendImage(const VisitedImage &Img, ByteWriter &W) {
+  appendU64s(Img.StripeSlots, W);
+  W.u64(Img.Delays.size());
+  for (int32_t D : Img.Delays)
     W.i32(D);
-  appendU64s(C.Masks, W);
+  appendU64s(Img.Keys, W);
+  appendU64s(Img.Masks, W);
 }
 
-bool readCompact(ByteReader &R, CheckpointData::CompactImage &C) {
-  C.PerStripe = R.u64();
-  if (!readU64s(R, C.Fps))
+bool readImage(ByteReader &R, VisitedImage &Img) {
+  if (!readU64s(R, Img.StripeSlots))
     return false;
   uint64_t N = R.u64();
-  if (!R.ok())
+  if (!R.ok() || N > R.remaining() / 4)
     return false;
-  C.Delays.clear();
-  C.Delays.reserve(N);
+  Img.Delays.clear();
+  Img.Delays.reserve(N);
   for (uint64_t I = 0; I != N; ++I)
-    C.Delays.push_back(R.i32());
-  return readU64s(R, C.Masks);
+    Img.Delays.push_back(R.i32());
+  return readU64s(R, Img.Keys) && readU64s(R, Img.Masks);
 }
 
 } // namespace
@@ -453,8 +427,7 @@ uint64_t ckpt::searchFingerprint(const CompiledProgram &Prog,
   W.i32(Opts.DepthBound);
   W.u8(Opts.UseModelBodies ? 1 : 0);
   W.u8(Opts.StopOnFirstError ? 1 : 0);
-  W.u8(static_cast<uint8_t>(Opts.ExactStates ? VisitedMode::Exact
-                                             : Opts.Visited));
+  W.u8(static_cast<uint8_t>(Opts.Visited));
   W.u64(Opts.VisitedCapBytes);
   W.u64(Opts.MaxStepsPerSlice);
   W.u8(Opts.CollectTerminals ? 1 : 0);
@@ -509,30 +482,15 @@ void appendPayload(const CheckpointData &D, std::string &Out) {
   W.u8(D.OmissionPossible ? 1 : 0);
   W.u8(D.Exhausted ? 1 : 0);
 
-  W.u64(D.Hashed.size());
-  for (const auto &[Key, Delays] : D.Hashed) {
-    W.u64(Key);
-    W.i32(Delays);
-  }
+  appendImage(D.DedupImage, W);
+  appendImage(D.SeenImage, W);
+  appendImage(D.TerminalImage, W);
   W.u64(D.Exact.size());
-  for (const auto &[Key, Delays] : D.Exact) {
-    W.str(Key);
-    W.i32(Delays);
+  for (const CheckpointData::ExactEntry &E : D.Exact) {
+    W.str(E.Key);
+    W.i32(E.Delays);
+    W.u64(E.Mask);
   }
-  W.u64(D.HashedSleep.size());
-  for (const auto &[Key, Doms] : D.HashedSleep) {
-    W.u64(Key);
-    appendSleepDoms(Doms, W);
-  }
-  W.u64(D.ExactSleep.size());
-  for (const auto &[Key, Doms] : D.ExactSleep) {
-    W.str(Key);
-    appendSleepDoms(Doms, W);
-  }
-  appendU64s(D.Seen, W);
-  appendU64s(D.TerminalSet, W);
-  appendCompact(D.CompactDedup, W);
-  appendCompact(D.CompactSeen, W);
 
   appendU64s(D.TerminalHashes, W);
   W.u64(D.Coverage.Machines.size());
@@ -580,51 +538,20 @@ bool readPayload(ByteReader &R, CheckpointData &D) {
   if (!R.ok())
     return false;
 
+  if (!readImage(R, D.DedupImage) || !readImage(R, D.SeenImage) ||
+      !readImage(R, D.TerminalImage))
+    return false;
   uint64_t N = R.u64();
   if (!R.ok())
     return false;
-  D.Hashed.clear();
-  D.Hashed.reserve(N);
-  for (uint64_t I = 0; I != N; ++I) {
-    uint64_t Key = R.u64();
-    D.Hashed.emplace_back(Key, R.i32());
-  }
-  N = R.u64();
-  if (!R.ok())
-    return false;
   D.Exact.clear();
-  D.Exact.reserve(N);
-  for (uint64_t I = 0; I != N; ++I) {
-    std::string Key = R.str();
-    D.Exact.emplace_back(std::move(Key), R.i32());
+  for (uint64_t I = 0; I != N && R.ok(); ++I) {
+    CheckpointData::ExactEntry E;
+    E.Key = R.str();
+    E.Delays = R.i32();
+    E.Mask = R.u64();
+    D.Exact.push_back(std::move(E));
   }
-  N = R.u64();
-  if (!R.ok())
-    return false;
-  D.HashedSleep.clear();
-  D.HashedSleep.reserve(N);
-  for (uint64_t I = 0; I != N; ++I) {
-    uint64_t Key = R.u64();
-    std::vector<CheckpointData::SleepDom> Doms;
-    if (!readSleepDoms(R, Doms))
-      return false;
-    D.HashedSleep.emplace_back(Key, std::move(Doms));
-  }
-  N = R.u64();
-  if (!R.ok())
-    return false;
-  D.ExactSleep.clear();
-  D.ExactSleep.reserve(N);
-  for (uint64_t I = 0; I != N; ++I) {
-    std::string Key = R.str();
-    std::vector<CheckpointData::SleepDom> Doms;
-    if (!readSleepDoms(R, Doms))
-      return false;
-    D.ExactSleep.emplace_back(std::move(Key), std::move(Doms));
-  }
-  if (!readU64s(R, D.Seen) || !readU64s(R, D.TerminalSet) ||
-      !readCompact(R, D.CompactDedup) || !readCompact(R, D.CompactSeen))
-    return false;
 
   if (!readU64s(R, D.TerminalHashes))
     return false;

@@ -8,10 +8,10 @@
 /// The exploration engine behind check(): Opts.Workers threads, each
 /// with its own Executor and local DFS stack, sharing
 ///
-///  * a sharded visited table — N mutex-guarded shards keyed by the top
-///    bits of the node hash, holding the delay-dominance value, so the
-///    "fewer delays dominates" pruning rule stays sound under
-///    concurrent insertion;
+///  * lock-striped visited tables (checker/VisitedTable.h) — stripes
+///    keyed by the top bits of the node hash, each slot holding the
+///    (delays, sleep mask) dominance pair, so the "fewer delays
+///    dominates" pruning rule stays sound under concurrent insertion;
 ///  * a work-stealing frontier — idle workers steal the oldest
 ///    (shallowest) nodes from a victim's deque, keeping breadth
 ///    available near the root while owners run depth-first.

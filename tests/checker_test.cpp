@@ -124,7 +124,7 @@ TEST(Checker, ExactStatesAgreesWithHashing) {
     Hashed.DelayBound = D;
     Hashed.StopOnFirstError = false;
     CheckOptions Exact = Hashed;
-    Exact.ExactStates = true;
+    Exact.Visited = VisitedMode::Exact;
     CheckResult R1 = check(Prog, Hashed);
     CheckResult R2 = check(Prog, Exact);
     EXPECT_EQ(R1.Stats.DistinctStates, R2.Stats.DistinctStates)

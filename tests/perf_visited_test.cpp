@@ -41,18 +41,6 @@ int32_t eventId(const CompiledProgram &Prog, const std::string &Name) {
   return -1;
 }
 
-const char *modeName(VisitedMode M) {
-  switch (M) {
-  case VisitedMode::Exact:
-    return "exact";
-  case VisitedMode::Fingerprint:
-    return "fingerprint";
-  case VisitedMode::Compact:
-    return "compact";
-  }
-  return "?";
-}
-
 // German(2) at d=3 is error-free and exhausts, so DistinctStates is the
 // deterministic quantity the modes must agree on: Exact is the oracle,
 // Fingerprint must match it exactly (collisions aside — a mismatch here
@@ -69,7 +57,7 @@ TEST(VisitedModes, GermanD3AgreesAcrossModesAndWorkers) {
       Opts.Workers = Workers;
       Opts.Visited = Mode;
       CheckResult R = check(Prog, Opts);
-      SCOPED_TRACE(std::string("mode=") + modeName(Mode) +
+      SCOPED_TRACE(std::string("mode=") + visitedModeName(Mode) +
                    " workers=" + std::to_string(Workers));
       EXPECT_FALSE(R.ErrorFound) << R.ErrorMessage;
       EXPECT_TRUE(R.Stats.Exhausted);
@@ -117,7 +105,7 @@ TEST(VisitedModes, DroppableInvAckBudget1AgreesAcrossModes) {
       Opts.Faults.Duplicate = true;
       Opts.Faults.Events.push_back(eventId(Prog, "InvAck"));
       CheckResult R = check(Prog, Opts);
-      SCOPED_TRACE(std::string("mode=") + modeName(Mode) +
+      SCOPED_TRACE(std::string("mode=") + visitedModeName(Mode) +
                    " workers=" + std::to_string(Workers));
       EXPECT_TRUE(R.ErrorFound);
       EXPECT_EQ(R.Error, ErrorKind::AssertFailed);
@@ -262,7 +250,7 @@ TEST(VisitedBytes, MonotoneNonDecreasingDuringSearch) {
   CompiledProgram Prog = compile(corpus::german(2));
   for (VisitedMode Mode : {VisitedMode::Exact, VisitedMode::Fingerprint,
                            VisitedMode::Compact}) {
-    SCOPED_TRACE(modeName(Mode));
+    SCOPED_TRACE(visitedModeName(Mode));
     std::vector<uint64_t> Samples;
     CheckOptions Opts;
     Opts.DelayBound = 2;

@@ -42,18 +42,6 @@ CompiledProgram compile(const std::string &Src) {
   return std::move(*R.Program);
 }
 
-const char *modeName(VisitedMode M) {
-  switch (M) {
-  case VisitedMode::Exact:
-    return "exact";
-  case VisitedMode::Fingerprint:
-    return "fingerprint";
-  case VisitedMode::Compact:
-    return "compact";
-  }
-  return "?";
-}
-
 std::vector<uint64_t> sortedTerminals(const CheckResult &R) {
   std::vector<uint64_t> T = R.TerminalHashes;
   std::sort(T.begin(), T.end());
@@ -77,7 +65,7 @@ TEST(Reduction, VerdictAndStateCountAgreeOnWorkerPool) {
         bool OffVerdict = false;
         for (Reduction Red : {Reduction::Off, Reduction::Sleep,
                               Reduction::Symmetry, Reduction::Both}) {
-          SCOPED_TRACE(std::string("mode=") + modeName(Mode) +
+          SCOPED_TRACE(std::string("mode=") + visitedModeName(Mode) +
                        " workers=" + std::to_string(Workers) +
                        " budget=" + std::to_string(Budget) +
                        " reduction=" + reductionName(Red));
@@ -123,7 +111,7 @@ TEST(Reduction, VerdictAndStateCountAgreeOnWorkerPool) {
 TEST(Reduction, SymmetryCollapsesWorkerPoolOrbits) {
   CompiledProgram Prog = compile(corpus::workerPool(3));
   for (VisitedMode Mode : {VisitedMode::Exact, VisitedMode::Fingerprint}) {
-    SCOPED_TRACE(std::string("mode=") + modeName(Mode));
+    SCOPED_TRACE(std::string("mode=") + visitedModeName(Mode));
     CheckOptions Opts;
     Opts.DelayBound = 2;
     Opts.StopOnFirstError = false;
@@ -188,7 +176,7 @@ TEST(Reduction, GermanPinnedRosterDefeatsSymmetryAndOffIsBitIdentical) {
 
   for (int Workers : {1, 4}) {
     for (VisitedMode Mode : {VisitedMode::Exact, VisitedMode::Fingerprint}) {
-      SCOPED_TRACE(std::string("mode=") + modeName(Mode) +
+      SCOPED_TRACE(std::string("mode=") + visitedModeName(Mode) +
                    " workers=" + std::to_string(Workers));
       CheckOptions Opts = Base;
       Opts.Workers = Workers;
