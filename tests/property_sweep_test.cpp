@@ -34,6 +34,14 @@ struct OpCase {
   Value Expected;
 };
 
+// Names each case by its expression ("7 + 5"). Without it the test
+// name is a byte dump of the struct: the Op pointer moves with address
+// space layout and the padding bytes are uninitialized, so the name
+// changed from run to run.
+void PrintTo(const OpCase &C, std::ostream *OS) {
+  *OS << C.A << " " << C.Op << " " << C.B;
+}
+
 class BinaryOpSemantics : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(BinaryOpSemantics, EvaluatesLikeTheReference) {
