@@ -25,6 +25,8 @@
 //   --reduction R         off | sleep | symmetry | both (CheckOptions::Reduce)
 //   --expect-states S     exit 1 unless DistinctStates == S
 //   --max-seconds T       exit 1 when the run took longer than T
+// With P_VERIFY_HASHES set, the run also exits 1 when any cached
+// fingerprint disagreed with a fresh re-walk (CheckStats::HashMismatches).
 //
 // Crash safety (single-run mode; see DESIGN.md "Checkpoint & resume"):
 //   --checkpoint <file>   periodic + final search checkpoints
@@ -190,6 +192,11 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "FAIL: states=%llu, expected %lld\n",
                    static_cast<unsigned long long>(R.Stats.DistinctStates),
                    ExpectStates);
+      return 1;
+    }
+    if (R.Stats.HashMismatches != 0) {
+      std::fprintf(stderr, "FAIL: %llu stale fingerprint caches\n",
+                   static_cast<unsigned long long>(R.Stats.HashMismatches));
       return 1;
     }
     if (MaxSeconds > 0 && R.Stats.Seconds > MaxSeconds) {

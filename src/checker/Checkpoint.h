@@ -55,7 +55,9 @@ namespace ckpt {
 /// field means. Old files are rejected with a version-mismatch error,
 /// not misparsed. Version 3: a depth-bounded run's visited entries hold
 /// the depth a key was explored at (version 2 stored 0 delays there).
-inline constexpr uint32_t FormatVersion = 3;
+/// Version 4: fingerprints are streamed from the field walk, not hashed
+/// from the serialized bytes, so every stored key changed.
+inline constexpr uint32_t FormatVersion = 4;
 
 /// CRC-32 (IEEE, reflected) over a byte range. Exposed so tests can
 /// forge structurally-valid-but-stale files (e.g. version skew with a

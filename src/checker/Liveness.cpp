@@ -6,11 +6,11 @@
 
 #include "checker/Liveness.h"
 
+#include "checker/SchedStack.h"
 #include "checker/StateHash.h"
 #include "runtime/Executor.h"
 #include "support/Hashing.h"
 
-#include <deque>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -25,7 +25,7 @@ using MachineEvent = std::pair<int32_t, int32_t>;
 /// One node of the DFS path, with the edge that led into it.
 struct PathNode {
   Config Cfg;
-  std::deque<int32_t> Sched;
+  SchedStack Sched;
   int DelaysUsed = 0;
   int32_t MustRun = -1;
   uint64_t Key = 0;
@@ -59,15 +59,13 @@ private:
     return EO;
   }
 
-  uint64_t keyOf(const PathNode &N) const {
-    std::string Bytes;
-    serializeConfig(N.Cfg, Bytes);
-    for (int32_t Id : N.Sched) {
-      Bytes.push_back(static_cast<char>(Id & 0xff));
-      Bytes.push_back(static_cast<char>((Id >> 8) & 0xff));
-    }
-    Bytes.push_back(static_cast<char>(N.MustRun & 0xff));
-    return hashBytes(Bytes.data(), Bytes.size());
+  /// The safety search's node key: the config hash with the stack, top
+  /// first, and MustRun folded in at full width.
+  static uint64_t keyOf(const PathNode &N) {
+    uint64_t H = hashConfig(N.Cfg);
+    for (int32_t Id : N.Sched)
+      H = hashCombine(H, static_cast<uint32_t>(Id));
+    return hashCombine(H, static_cast<uint32_t>(N.MustRun));
   }
 
   /// Generates the children of \p N (after normalization).
@@ -92,8 +90,8 @@ void LivenessSearch::expand(PathNode &N) {
   N.Expanded = true;
 
   // Normalize the scheduler stack.
-  while (!N.Sched.empty() && !Exec.isEnabled(N.Cfg, N.Sched.front()))
-    N.Sched.pop_front();
+  while (!N.Sched.empty() && !Exec.isEnabled(N.Cfg, N.Sched.top()))
+    N.Sched.pop();
   if (N.Sched.empty())
     return; // Quiescent: no outgoing edges, no cycles through here.
 
@@ -102,15 +100,14 @@ void LivenessSearch::expand(PathNode &N) {
     PathNode Child;
     Child.Cfg = N.Cfg;
     Child.Sched = N.Sched;
-    Child.Sched.push_back(Child.Sched.front());
-    Child.Sched.pop_front();
+    Child.Sched.rotate();
     Child.DelaysUsed = N.DelaysUsed + 1;
-    Child.Desc = "delay " + Exec.describeMachine(N.Cfg, N.Sched.front());
+    Child.Desc = "delay " + Exec.describeMachine(N.Cfg, N.Sched.top());
     N.Pending.push_back(std::move(Child));
   }
 
   // Run child(ren).
-  int32_t Top = N.MustRun >= 0 ? N.MustRun : N.Sched.front();
+  int32_t Top = N.MustRun >= 0 ? N.MustRun : N.Sched.top();
   PathNode Child;
   Child.Cfg = N.Cfg;
   Child.Sched = N.Sched;
@@ -140,28 +137,20 @@ void LivenessSearch::expand(PathNode &N) {
     return;
   }
   case Executor::StepOutcome::SchedulingPoint: {
-    bool InSched = false;
-    for (int32_t S : Child.Sched)
-      InSched |= (S == R.Other);
-    if (!InSched)
-      Child.Sched.push_front(R.Other);
+    if (!Child.Sched.contains(R.Other))
+      Child.Sched.push(R.Other);
     N.Pending.push_back(std::move(Child));
     return;
   }
   case Executor::StepOutcome::Blocked:
-    if (!Child.Sched.empty() && Child.Sched.front() == Top)
-      Child.Sched.pop_front();
+    if (!Child.Sched.empty() && Child.Sched.top() == Top)
+      Child.Sched.pop();
     N.Pending.push_back(std::move(Child));
     return;
-  case Executor::StepOutcome::Halted: {
-    std::deque<int32_t> Pruned;
-    for (int32_t S : Child.Sched)
-      if (S != Top)
-        Pruned.push_back(S);
-    Child.Sched = std::move(Pruned);
+  case Executor::StepOutcome::Halted:
+    Child.Sched.remove(Top);
     N.Pending.push_back(std::move(Child));
     return;
-  }
   }
 }
 
@@ -250,7 +239,7 @@ bool LivenessSearch::analyzeCycle(size_t Start, const PathNode &Closing) {
 LivenessResult LivenessSearch::run() {
   PathNode Root;
   Root.Cfg = Exec.makeInitialConfig();
-  Root.Sched.push_back(0);
+  Root.Sched.push(0);
   Root.Key = keyOf(Root);
   Path.push_back(std::move(Root));
   OnPath[Path.back().Key] = 0;

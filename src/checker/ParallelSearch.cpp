@@ -8,6 +8,7 @@
 
 #include "checker/Checkpoint.h"
 #include "checker/FrontierStore.h"
+#include "checker/SchedStack.h"
 #include "checker/StateHash.h"
 #include "checker/VisitedTable.h"
 #include "obs/Metrics.h"
@@ -83,7 +84,7 @@ struct SleepEntry {
 /// A node of the schedule tree.
 struct Node {
   Config Cfg;
-  std::deque<int32_t> Sched; ///< The delaying scheduler's stack S.
+  SchedStack Sched; ///< The delaying scheduler's stack S.
   int DelaysUsed = 0;
   int FaultsUsed = 0; ///< Faults injected along this path (≤ Budget).
   int Depth = 0;
@@ -182,6 +183,13 @@ unsigned shardOf(uint64_t Hash) {
   return static_cast<unsigned>(Hash >> (64 - VisitedTable::StripeBits));
 }
 
+/// Appends \p V little-endian: Exact-mode node keys extend the config
+/// bytes with the key suffix this way.
+void appendI32(std::string &Out, int32_t V) {
+  for (int B = 0; B != 4; ++B)
+    Out.push_back(static_cast<char>((V >> (8 * B)) & 0xff));
+}
+
 /// The pair an Exact-mode key was explored under (see
 /// dominatedOrReplace, the rule every visited table shares).
 struct ExactDom {
@@ -235,8 +243,7 @@ struct Worker {
   std::mutex ArenaMu;
   std::deque<TraceEntry> Arena;
 
-  std::string Buf;     ///< Reusable serialization buffer (Exact keys).
-  std::string Scratch; ///< Per-machine fingerprint scratch buffer.
+  std::string Buf; ///< Reusable serialization buffer (Exact keys).
 
   // Symmetry-reduction scratch (Reduction::Symmetry/Both).
   std::string SymBuf;                        ///< Candidate node bytes.
@@ -402,15 +409,15 @@ private:
     return false;
   }
 
-  /// Probes one of the hashed tables: true when \p Key counts as seen.
-  /// A full probe window of a bounded (Compact) table also counts as
-  /// seen, and records that the search may have omitted states.
-  bool seen(Worker &W, VisitedTable &T, uint64_t Key, int Delays = 0,
-            uint64_t Mask = 0) {
+  /// Probes one of the hashed tables. Anything but Explore counts as
+  /// seen; a full probe window of a bounded (Compact) table also
+  /// records that the search may have omitted states.
+  VisitedTable::Visit probe(Worker &W, VisitedTable &T, uint64_t Key,
+                            int Delays = 0, uint64_t Mask = 0) {
     const VisitedTable::Visit V = T.visit(Key, Delays, Mask, &W.ContentionNs);
     if (V == VisitedTable::Visit::Full)
       Omission.store(true, std::memory_order_relaxed);
-    return V != VisitedTable::Visit::Explore;
+    return V;
   }
 
   /// Counts a distinct global configuration given its fingerprint.
@@ -419,7 +426,7 @@ private:
   /// profiling is on.
   void noteConfig(Worker &W, uint64_t CfgHash, const Config &Cfg,
                   int32_t ByType) {
-    if (seen(W, Seen, CfgHash))
+    if (probe(W, Seen, CfgHash) != VisitedTable::Visit::Explore)
       return;
     DistinctStates.fetch_add(1, std::memory_order_relaxed);
     if (ProfileOn)
@@ -443,33 +450,95 @@ private:
     // The terminal table grows in every mode, so the set stays exact:
     // quiescent configurations are few, and TerminalHashes feeds the
     // d=0 ≡ runtime tests.
-    if (seen(W, Terminals, CfgHash))
+    if (probe(W, Terminals, CfgHash) != VisitedTable::Visit::Explore)
       return;
     W.Terminals.fetch_add(1, std::memory_order_relaxed);
     if (Opts.CollectTerminals)
       W.TerminalHashes.push_back(CfgHash);
   }
 
-  /// True when the node key was explored before under a pair that
-  /// dominates (\p Spent, \p SleepMask) — see dominatedOrReplace.
-  /// \p Spent is the budget the node has used: its delays in a
-  /// delay-bounded search, its depth in a depth-bounded one.
-  /// \p SleepMask is 0 unless sleep sets are on. \p Bytes is the full
-  /// serialized key, consulted only in Exact mode.
-  bool pruned(Worker &W, uint64_t Key, const std::string &Bytes, int Spent,
-              uint64_t SleepMask) {
-    if (Mode != VisitedMode::Exact)
-      return seen(W, Dedup, Key, Spent, SleepMask);
-    ExactShard &S = Exact[shardOf(Key)];
-    auto L = lockTimed(S.Mu, &W.ContentionNs);
-    auto [It, Inserted] =
-        S.Map.try_emplace(Bytes, ExactDom{Spent, SleepMask});
-    if (Inserted) {
-      S.Bytes += exactEntryBytes(It->first);
+  /// Keys of one node (see nodeKeys). Under symmetry they are canonical:
+  /// the minimum over candidate machine permutations π (products of
+  /// per-class permutations of symmetric instances) of the π-renamed
+  /// node. Renaming a machine id everywhere it occurs is a bisimulation
+  /// — P programs can only compare ids for equality — so two nodes with
+  /// equal canonical keys have isomorphic futures and may share one
+  /// visited-set entry.
+  struct NodeKeys {
+    uint64_t CfgHash = 0; ///< Config hash (noteConfig/terminals).
+    uint64_t Key = 0;     ///< Node-dedup key (Exact: hash of W.Buf).
+    /// The node's sleep mask; under symmetry renamed through the winning
+    /// π, so mask dominance (admit) compares masks in canonical id
+    /// space — orbit members reached via different permutations must
+    /// agree on which *canonical* machines are asleep.
+    uint64_t Mask = 0;
+    bool Identity = true; ///< The canonical form is the raw node itself.
+  };
+
+  NodeKeys nodeKeys(Worker &W, Node &N);
+
+  /// Hands \p Put the scheduler suffix of a node key, machine ids
+  /// renamed through \p Perm (nullptr: none): the delaying scheduler's
+  /// stack, MustRun and, with a fault budget, the faults spent — the
+  /// node's future depends on each. Full 4-byte ids: truncation here
+  /// once made distinct stacks collide. The faults join only when fault
+  /// exploration is on, keeping budget-0 runs bit-identical to a
+  /// checker without the fault layer.
+  template <typename PutT>
+  void keySuffix(const Node &N, const std::vector<int32_t> *Perm,
+                 PutT Put) const {
+    auto Id = [&](int32_t I) { return Perm && I >= 0 ? (*Perm)[I] : I; };
+    if (Opts.Strategy == SearchStrategy::DelayBounded)
+      for (int32_t S : N.Sched)
+        Put(Id(S));
+    Put(Id(N.MustRun));
+    if (Opts.Faults.enabled())
+      Put(N.FaultsUsed);
+  }
+
+  /// True when \p N is to be expanded. Probes the node-dedup set for
+  /// K.Key under (\p Spent, K.Mask) — see dominatedOrReplace — then
+  /// counts the node's configuration unless the key was Dominated: a
+  /// stored key's configuration was noted when the key was stored. A
+  /// Full Compact window stored nothing, so it still notes. \p Spent is
+  /// the budget the node has used: its delays in a delay-bounded search,
+  /// its depth in a depth-bounded one. Exact mode keys on the node bytes
+  /// in W.Buf. An admitted node counts as explored; one at the depth
+  /// bound is not expanded, and the search is then not exhausted.
+  bool admit(Worker &W, const Node &N, const NodeKeys &K, int Spent) {
+    using Visit = VisitedTable::Visit;
+    Visit V = Visit::Explore;
+    if (Mode != VisitedMode::Exact) {
+      V = probe(W, Dedup, K.Key, Spent, K.Mask);
+    } else {
+      ExactShard &S = Exact[shardOf(K.Key)];
+      auto L = lockTimed(S.Mu, &W.ContentionNs);
+      auto [It, Inserted] = S.Map.try_emplace(W.Buf, ExactDom{Spent, K.Mask});
+      if (Inserted)
+        S.Bytes += exactEntryBytes(It->first);
+      else if (dominatedOrReplace(It->second.Delays, It->second.Mask, Spent,
+                                  K.Mask))
+        V = Visit::Dominated;
+    }
+    if (V != Visit::Dominated)
+      noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
+    if (V != Visit::Explore) {
+      if (!K.Identity) {
+        SymmetryCollapsed.fetch_add(1, std::memory_order_relaxed);
+        if (ProfileOn)
+          profileCollapse(W);
+      }
       return false;
     }
-    return dominatedOrReplace(It->second.Delays, It->second.Mask, Spent,
-                              SleepMask);
+    NodesExplored.fetch_add(1, std::memory_order_relaxed);
+    if (ProfileOn)
+      W.Prof.noteNode(N.ByType, N.Depth, N.DelaysUsed,
+                      Opts.Faults.enabled() ? N.FaultsUsed : -1);
+    if (N.Depth >= Opts.DepthBound) {
+      Exhausted.store(false, std::memory_order_relaxed);
+      return false;
+    }
+    return true;
   }
 
   void recordError(Worker &W, const Node &N) {
@@ -489,9 +558,9 @@ private:
 
   /// Incremental config hash (cached per-machine fingerprints), with
   /// the optional cache-oblivious cross-check counted per node.
-  uint64_t configHash(Worker &W, const Config &Cfg) {
-    uint64_t H = hashConfig(Cfg, W.Scratch);
-    if (DoVerifyHashes && hashConfigFresh(Cfg, W.Scratch) != H)
+  uint64_t configHash(const Config &Cfg) {
+    uint64_t H = hashConfig(Cfg);
+    if (DoVerifyHashes && hashConfigFresh(Cfg) != H)
       HashMismatches.fetch_add(1, std::memory_order_relaxed);
     return H;
   }
@@ -499,23 +568,6 @@ private:
   //===--------------------------------------------------------------------===//
   // Symmetry canonicalization (Reduction::Symmetry/Both)
   //===--------------------------------------------------------------------===//
-
-  /// Canonical keys of one node: the minimum over candidate machine
-  /// permutations π (products of per-class permutations of symmetric
-  /// instances) of the π-renamed node. Renaming a machine id everywhere
-  /// it occurs is a bisimulation — P programs can only compare ids for
-  /// equality — so two nodes with equal canonical keys have isomorphic
-  /// futures and may share one visited-set entry.
-  struct CanonKeys {
-    uint64_t CfgHash = 0; ///< Canonical config hash (noteConfig/terminals).
-    uint64_t Key = 0;     ///< Canonical node key (Exact: hash of W.Buf).
-    /// The node's sleep mask renamed through the winning π, so mask
-    /// dominance (pruned) compares masks in canonical id space —
-    /// orbit members reached via different permutations must agree on
-    /// which *canonical* machines are asleep.
-    uint64_t CanonMask = 0;
-    bool Identity = true; ///< The canonical form is the raw node itself.
-  };
 
   /// Collects the permutable id classes of \p Cfg into W.Classes: for
   /// each `symmetric` machine type, the ids of its instances (ascending;
@@ -570,7 +622,7 @@ private:
   /// permutation — it just merges fewer orbit members.
   static constexpr int MaxSymCandidates = 1024;
 
-  CanonKeys canonicalNodeKeys(Worker &W, const Node &N, uint64_t SleepMask);
+  NodeKeys canonicalNodeKeys(Worker &W, const Node &N, uint64_t SleepMask);
 
   void pushFaultChildren(Worker &W, const Node &N);
   void expandRun(Worker &W, Node &&N, int32_t Id,
@@ -805,13 +857,12 @@ private:
 /// modes take the numeric minimum of the candidate hashes; cached
 /// per-machine fingerprints are reused for machines whose refs mask is
 /// disjoint from the permutation's support.
-ParallelSearch::CanonKeys
+ParallelSearch::NodeKeys
 ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
                                   uint64_t SleepMask) {
   const Config &Cfg = N.Cfg;
   const size_t NumM = Cfg.Machines.size();
   const bool Exact = Mode == VisitedMode::Exact;
-  const bool Delay = Opts.Strategy == SearchStrategy::DelayBounded;
 
   W.Perm.resize(NumM);
   W.Inv.resize(NumM);
@@ -821,7 +872,7 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
   for (size_t C = 0; C != W.Classes.size(); ++C)
     W.Arr[C] = W.Classes[C]; // Ascending ids: the identity arrangement.
 
-  CanonKeys Out;
+  NodeKeys Out;
   bool First = true;
   size_t CfgLen = 0; // Exact: length of the bytes' config prefix.
   int Candidates = 0;
@@ -839,16 +890,7 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
       serializeConfigPermuted(Cfg, W.Perm, W.Inv, W.SymBuf);
       if (First)
         CfgLen = W.SymBuf.size();
-      auto PutI32 = [&](int32_t V) {
-        for (int B = 0; B != 4; ++B)
-          W.SymBuf.push_back(static_cast<char>((V >> (8 * B)) & 0xff));
-      };
-      if (Delay)
-        for (int32_t Id : N.Sched)
-          PutI32(W.Perm[Id]);
-      PutI32(N.MustRun >= 0 ? W.Perm[N.MustRun] : N.MustRun);
-      if (Opts.Faults.enabled())
-        PutI32(N.FaultsUsed);
+      keySuffix(N, &W.Perm, [&](int32_t V) { appendI32(W.SymBuf, V); });
       if (First || W.SymBuf < W.Buf) {
         Out.Identity = First;
         std::swap(W.Buf, W.SymBuf);
@@ -860,17 +902,11 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
       for (size_t I = 0; I != NumM; ++I)
         if (W.Perm[I] != static_cast<int32_t>(I))
           Support |= 1ull << I;
-      uint64_t Hc =
-          hashConfigPermuted(Cfg, W.Perm, W.Inv, Support, W.Scratch);
+      uint64_t Hc = hashConfigPermuted(Cfg, W.Perm, W.Inv, Support);
       uint64_t K = Hc;
-      if (Delay)
-        for (int32_t Id : N.Sched)
-          K = hashCombine(K, static_cast<uint32_t>(W.Perm[Id]));
-      K = hashCombine(
-          K, static_cast<uint32_t>(N.MustRun >= 0 ? W.Perm[N.MustRun]
-                                                  : N.MustRun));
-      if (Opts.Faults.enabled())
-        K = hashCombine(K, static_cast<uint32_t>(N.FaultsUsed));
+      keySuffix(N, &W.Perm, [&](int32_t V) {
+        K = hashCombine(K, static_cast<uint32_t>(V));
+      });
       if (First) {
         Out.CfgHash = Hc;
         Out.Key = K;
@@ -903,7 +939,7 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
     Out.CfgHash = hashBytes(W.Buf.data(), CfgLen);
   }
   if (SleepOn)
-    Out.CanonMask = permuteMask(SleepMask, W.WinPerm);
+    Out.Mask = permuteMask(SleepMask, W.WinPerm);
   return Out;
 }
 
@@ -928,8 +964,7 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
       Node C = N; // copy
       C.FaultsUsed += 1;
       W.Exec.crashMachine(C.Cfg, Id); // Records FaultInjected itself.
-      for (auto It = C.Sched.begin(); It != C.Sched.end();)
-        It = (*It == Id) ? C.Sched.erase(It) : std::next(It);
+      C.Sched.remove(Id);
       if (SleepOn) // The crash touches Id: dependent sleepers wake.
         wakeSleepers(C.Sleep, idBit(Id));
       SchedDecision D;
@@ -1043,7 +1078,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
 
   switch (R.Outcome) {
   case Executor::StepOutcome::Error: {
-    noteConfig(W, configHash(W, N.Cfg), N.Cfg, N.ByType);
+    noteConfig(W, configHash(N.Cfg), N.Cfg, N.ByType);
     recordError(W, N);
     if (Opts.StopOnFirstError)
       Stop.store(true, std::memory_order_relaxed);
@@ -1066,28 +1101,23 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
   }
   case Executor::StepOutcome::SchedulingPoint: {
     if (Opts.Strategy == SearchStrategy::DelayBounded) {
-      bool InSched = false;
-      for (int32_t S : N.Sched)
-        InSched |= (S == R.Other);
-      if (!InSched)
-        N.Sched.push_front(R.Other);
+      if (!N.Sched.contains(R.Other))
+        N.Sched.push(R.Other);
     }
     pushNode(W, std::move(N));
     return;
   }
   case Executor::StepOutcome::Blocked: {
     if (Opts.Strategy == SearchStrategy::DelayBounded) {
-      assert(!N.Sched.empty() && N.Sched.front() == Id);
-      N.Sched.pop_front();
+      assert(!N.Sched.empty() && N.Sched.top() == Id);
+      N.Sched.pop();
     }
     pushNode(W, std::move(N));
     return;
   }
   case Executor::StepOutcome::Halted: {
-    if (Opts.Strategy == SearchStrategy::DelayBounded) {
-      for (auto It = N.Sched.begin(); It != N.Sched.end();)
-        It = (*It == Id) ? N.Sched.erase(It) : std::next(It);
-    }
+    if (Opts.Strategy == SearchStrategy::DelayBounded)
+      N.Sched.remove(Id);
     pushNode(W, std::move(N));
     return;
   }
@@ -1122,27 +1152,53 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
   }
 }
 
-void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
+/// Keys \p N after its stack is normalized (see NodeKeys): its
+/// configuration plus keySuffix. Exact mode serializes the whole node
+/// into W.Buf and keys on the bytes; hashed modes fold the suffix into
+/// the incremental config hash and never serialize. The sleep mask is
+/// deliberately NOT part of the key: it joins the budget as the second
+/// dominance dimension (see admit).
+ParallelSearch::NodeKeys ParallelSearch::nodeKeys(Worker &W, Node &N) {
   // Incremental fingerprint: the combination of the per-machine cached
   // fingerprints — a successor re-hashes only the one machine its slice
   // mutated (the CowMachine cache survives for the rest).
-  uint64_t CfgHash = configHash(W, N.Cfg);
+  const uint64_t CfgHash = configHash(N.Cfg);
+  uint64_t SleepMask = 0;
+  if (SleepOn) {
+    // A sleeper that is dead or has nothing to run cannot take the
+    // pruned decision anyway, and it can only become runnable again
+    // through a dependent decision (a send or a queue fault), which
+    // wakes it. Dropping such entries before keying keeps nodes that
+    // have equal futures from splitting the visited set.
+    std::erase_if(N.Sleep, [&](const SleepEntry &E) {
+      return !W.Exec.isEnabled(N.Cfg, E.Id);
+    });
+    for (const SleepEntry &E : N.Sleep)
+      SleepMask |= idBit(E.Id);
+  }
+  if (SymOn && buildSymClasses(W, N.Cfg))
+    return canonicalNodeKeys(W, N, SleepMask);
+  NodeKeys K;
+  K.CfgHash = CfgHash;
+  K.Mask = SleepMask;
+  if (Mode == VisitedMode::Exact) {
+    W.Buf.clear();
+    serializeConfig(N.Cfg, W.Buf);
+    keySuffix(N, nullptr, [&](int32_t V) { appendI32(W.Buf, V); });
+    K.Key = hashBytes(W.Buf.data(), W.Buf.size());
+  } else {
+    K.Key = CfgHash;
+    keySuffix(N, nullptr, [&](int32_t V) {
+      K.Key = hashCombine(K.Key, static_cast<uint32_t>(V));
+    });
+  }
+  return K;
+}
 
-  // A sleeper that is dead or has nothing to run cannot take the
-  // pruned decision anyway, and it can only become runnable again
-  // through a dependent decision (a send or a queue fault), which
-  // wakes it. Dropping such entries before keying keeps nodes that
-  // have equal futures from splitting the visited set.
-  if (SleepOn && !N.Sleep.empty())
-    N.Sleep.erase(std::remove_if(N.Sleep.begin(), N.Sleep.end(),
-                                 [&](const SleepEntry &E) {
-                                   return !W.Exec.isEnabled(N.Cfg, E.Id);
-                                 }),
-                  N.Sleep.end());
-
+void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
   // Normalize: drop disabled machines from the top of S.
-  while (!N.Sched.empty() && !W.Exec.isEnabled(N.Cfg, N.Sched.front()))
-    N.Sched.pop_front();
+  while (!N.Sched.empty() && !W.Exec.isEnabled(N.Cfg, N.Sched.top()))
+    N.Sched.pop();
 
   if (N.Sched.empty()) {
     // Re-arm any enabled machine missed by the causal discipline
@@ -1150,88 +1206,22 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
     for (int32_t Id = 0; Id < static_cast<int32_t>(N.Cfg.Machines.size());
          ++Id)
       if (W.Exec.isEnabled(N.Cfg, Id)) {
-        N.Sched.push_back(Id);
+        N.Sched.push(Id);
         break;
       }
   }
-  const bool Terminal = N.Sched.empty();
-
-  // Dedup key: config + scheduler stack + resumption obligation (the
-  // future depends on all three). Exact mode serializes the whole
-  // node into W.Buf — the map keys on the bytes; hashed modes fold the
-  // suffix into the config hash and never serialize. Full 4-byte ids —
-  // truncation here once caused distinct stacks to collide. Under
-  // symmetry the keys are the canonical minimum over the orbit instead.
-  // The sleep mask is deliberately NOT part of the key: it joins the
-  // delay count as the second dominance dimension (see pruned).
-  uint64_t Key = 0;
-  uint64_t NoteHash = CfgHash;
-  uint64_t SleepMask = 0;
-  if (SleepOn)
-    for (const SleepEntry &E : N.Sleep)
-      SleepMask |= idBit(E.Id);
-  bool SymNonId = false;
-  const bool Sym = SymOn && buildSymClasses(W, N.Cfg);
-  if (Sym) {
-    CanonKeys CK = canonicalNodeKeys(W, N, SleepMask);
-    NoteHash = CK.CfgHash;
-    Key = CK.Key;
-    SleepMask = CK.CanonMask;
-    SymNonId = !CK.Identity;
-  } else if (!Terminal) {
-    if (Mode == VisitedMode::Exact) {
-      W.Buf.clear();
-      serializeConfig(N.Cfg, W.Buf);
-      for (int32_t Id : N.Sched)
-        for (int B = 0; B != 4; ++B)
-          W.Buf.push_back(static_cast<char>((Id >> (8 * B)) & 0xff));
-      for (int B = 0; B != 4; ++B)
-        W.Buf.push_back(static_cast<char>((N.MustRun >> (8 * B)) & 0xff));
-      // With a fault budget, the remaining budget is part of the node's
-      // future (the dominance value only tracks delays), so FaultsUsed
-      // joins the key. Appended only when fault exploration is on, keeping
-      // budget-0 runs bit-identical to a checker without the fault layer.
-      if (Opts.Faults.enabled())
-        for (int B = 0; B != 4; ++B)
-          W.Buf.push_back(
-              static_cast<char>((N.FaultsUsed >> (8 * B)) & 0xff));
-      Key = hashBytes(W.Buf.data(), W.Buf.size());
-    } else {
-      uint64_t K = CfgHash;
-      for (int32_t Id : N.Sched)
-        K = hashCombine(K, static_cast<uint32_t>(Id));
-      K = hashCombine(K, static_cast<uint32_t>(N.MustRun));
-      if (Opts.Faults.enabled())
-        K = hashCombine(K, static_cast<uint32_t>(N.FaultsUsed));
-      Key = K;
-    }
-  }
-
-  noteConfig(W, NoteHash, N.Cfg, N.ByType);
-  if (Terminal) {
-    noteTerminal(W, NoteHash); // Quiescent: every machine awaits events.
+  const NodeKeys K = nodeKeys(W, N);
+  if (N.Sched.empty()) { // Quiescent: every machine awaits events.
+    noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
+    noteTerminal(W, K.CfgHash);
     return;
   }
-  if (pruned(W, Key, W.Buf, N.DelaysUsed, SleepMask)) {
-    if (SymNonId) {
-      SymmetryCollapsed.fetch_add(1, std::memory_order_relaxed);
-      if (ProfileOn)
-        profileCollapse(W);
-    }
+  if (!admit(W, N, K, N.DelaysUsed))
     return;
-  }
-  NodesExplored.fetch_add(1, std::memory_order_relaxed);
-  if (ProfileOn)
-    W.Prof.noteNode(N.ByType, N.Depth, N.DelaysUsed,
-                    Opts.Faults.enabled() ? N.FaultsUsed : -1);
-  if (N.Depth >= Opts.DepthBound) {
-    Exhausted.store(false, std::memory_order_relaxed);
-    return;
-  }
 
   pushFaultChildren(W, N);
 
-  const int32_t Top = N.MustRun >= 0 ? N.MustRun : N.Sched.front();
+  const int32_t Top = N.MustRun >= 0 ? N.MustRun : N.Sched.top();
   const bool CanDelay =
       N.MustRun < 0 && N.DelaysUsed < Opts.DelayBound && N.Sched.size() > 1;
 
@@ -1239,9 +1229,8 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
   // top to the bottom for one unit of budget).
   auto makeDelayed = [&](const Node &From) {
     Node Delayed = From; // copy
-    int32_t Moved = Delayed.Sched.front();
-    Delayed.Sched.push_back(Moved);
-    Delayed.Sched.pop_front();
+    const int32_t Moved = Delayed.Sched.top();
+    Delayed.Sched.rotate();
     Delayed.DelaysUsed += 1;
     SchedDecision DelayDecision;
     DelayDecision.K = SchedDecision::Kind::Delay;
@@ -1299,10 +1288,8 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
     case Executor::StepOutcome::Halted:
       break;
     case Executor::StepOutcome::SchedulingPoint: {
-      bool TargetInStack = false;
-      for (int32_t S : Delayed.Sched)
-        TargetInStack |= (S == R.Other);
-      Insert = !R.Created && R.Other >= 0 && R.Other < 63 && TargetInStack;
+      Insert = !R.Created && R.Other >= 0 && R.Other < 63 &&
+               Delayed.Sched.contains(R.Other);
       break;
     }
     default:
@@ -1322,68 +1309,14 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
 }
 
 void ParallelSearch::expandDepthBounded(Worker &W, Node &&N) {
-  uint64_t CfgHash = configHash(W, N.Cfg);
-
-  // Same stale-sleeper normalization as the delaying scheduler.
-  if (SleepOn && !N.Sleep.empty())
-    N.Sleep.erase(std::remove_if(N.Sleep.begin(), N.Sleep.end(),
-                                 [&](const SleepEntry &E) {
-                                   return !W.Exec.isEnabled(N.Cfg, E.Id);
-                                 }),
-                  N.Sleep.end());
-
-  uint64_t Key;
-  uint64_t NoteHash = CfgHash;
-  uint64_t SleepMask = 0;
-  if (SleepOn)
-    for (const SleepEntry &E : N.Sleep)
-      SleepMask |= idBit(E.Id);
-  bool SymNonId = false;
-  const bool Sym = SymOn && buildSymClasses(W, N.Cfg);
-  if (Sym) {
-    CanonKeys CK = canonicalNodeKeys(W, N, SleepMask);
-    NoteHash = CK.CfgHash;
-    Key = CK.Key;
-    SleepMask = CK.CanonMask;
-    SymNonId = !CK.Identity;
-  } else if (Mode == VisitedMode::Exact) {
-    W.Buf.clear();
-    serializeConfig(N.Cfg, W.Buf);
-    for (int B = 0; B != 4; ++B)
-      W.Buf.push_back(static_cast<char>((N.MustRun >> (8 * B)) & 0xff));
-    if (Opts.Faults.enabled())
-      for (int B = 0; B != 4; ++B)
-        W.Buf.push_back(
-            static_cast<char>((N.FaultsUsed >> (8 * B)) & 0xff));
-    Key = hashBytes(W.Buf.data(), W.Buf.size());
-  } else {
-    uint64_t K = hashCombine(CfgHash, static_cast<uint32_t>(N.MustRun));
-    if (Opts.Faults.enabled())
-      K = hashCombine(K, static_cast<uint32_t>(N.FaultsUsed));
-    Key = K;
-  }
-  noteConfig(W, NoteHash, N.Cfg, N.ByType);
+  const NodeKeys K = nodeKeys(W, N);
   // The dominance value is the depth, not the delays: a key first
   // reached near the cut had its subtree cut short, so a later,
   // shallower visit — more slices left before the cut — explores it
   // again. The explored set is then every configuration reachable
   // within DepthBound slices, whatever order the workers reach it in.
-  if (pruned(W, Key, W.Buf, N.Depth, SleepMask)) {
-    if (SymNonId) {
-      SymmetryCollapsed.fetch_add(1, std::memory_order_relaxed);
-      if (ProfileOn)
-        profileCollapse(W);
-    }
+  if (!admit(W, N, K, N.Depth))
     return;
-  }
-  NodesExplored.fetch_add(1, std::memory_order_relaxed);
-  if (ProfileOn)
-    W.Prof.noteNode(N.ByType, N.Depth, N.DelaysUsed,
-                    Opts.Faults.enabled() ? N.FaultsUsed : -1);
-  if (N.Depth >= Opts.DepthBound) {
-    Exhausted.store(false, std::memory_order_relaxed);
-    return;
-  }
 
   if (N.MustRun >= 0) {
     int32_t Id = N.MustRun;
@@ -1437,7 +1370,7 @@ void ParallelSearch::expandDepthBounded(Worker &W, Node &&N) {
     }
   }
   if (!Any)
-    noteTerminal(W, NoteHash);
+    noteTerminal(W, K.CfgHash);
 }
 
 void ParallelSearch::process(Worker &W, Node &&N) {
@@ -1653,7 +1586,8 @@ ckpt::FrontierNode ParallelSearch::toFrontierNode(const Node &N) {
 Node ParallelSearch::fromFrontierNode(Worker &W, ckpt::FrontierNode &&F) {
   Node N;
   N.Cfg = std::move(F.Cfg);
-  N.Sched.assign(F.Sched.begin(), F.Sched.end());
+  for (auto It = F.Sched.rbegin(); It != F.Sched.rend(); ++It)
+    N.Sched.push(*It); // F.Sched is top first.
   N.DelaysUsed = F.DelaysUsed;
   N.FaultsUsed = F.FaultsUsed;
   N.Depth = F.Depth;
@@ -2117,7 +2051,7 @@ CheckResult ParallelSearch::run() {
     Root.Cfg = BaseExec.makeInitialConfig();
     Root.Cfg.MaxQueue = Opts.MaxQueue;
     Root.Cfg.Overflow = Opts.Overflow;
-    Root.Sched.push_back(0);
+    Root.Sched.push(0);
     InFlight.store(1, std::memory_order_relaxed);
     Workers[0]->Frontier.push_back(std::move(Root));
     if (Spill)

@@ -16,12 +16,11 @@
 ///    (shallowest) nodes from a victim's deque, keeping breadth
 ///    available near the root while owners run depth-first.
 ///
-/// Independent of the threading, the hot path serializes each
-/// configuration once per node into a reusable per-worker buffer: the
-/// distinct-config fingerprint hashes the prefix, the dedup key hashes
-/// the same buffer after the scheduler-stack suffix is appended. Trace
-/// entries store only the structured decision; counterexample text is
-/// rendered lazily by re-executing the schedule.
+/// Independent of the threading, the hot path builds no bytes outside
+/// Exact mode: the config hash combines cached, streamed per-machine
+/// fingerprints, and the dedup key folds the scheduler stack into it.
+/// Trace entries store only the structured decision; counterexample
+/// text is rendered lazily by re-executing the schedule.
 ///
 /// Determinism contract (exhausted searches): ErrorFound, Error,
 /// DistinctStates, Terminals and TerminalHashes-as-a-set do not depend

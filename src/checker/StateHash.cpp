@@ -12,14 +12,22 @@ using namespace p;
 
 namespace {
 
-/// Little-endian append helpers over a std::string buffer. When a
-/// permutation is attached (the symmetry reduction's π), machine-typed
-/// values are renamed through it as they are written; without one the
-/// bytes are exactly the canonical serialization.
+/// Renames a machine-typed value through the symmetry reduction's π
+/// when one is attached; every other value passes through.
+int64_t mappedData(const Value &V, const std::vector<int32_t> *Perm) {
+  int64_t D = V.Data;
+  if (Perm && V.Kind == ValueKind::Machine && D >= 0 &&
+      D < static_cast<int64_t>(Perm->size()))
+    D = (*Perm)[static_cast<size_t>(D)];
+  return D;
+}
+
+/// Little-endian append helpers over a std::string buffer: the canonical
+/// bytes, the oracle every fingerprint is checked against.
 class ByteSink {
 public:
-  explicit ByteSink(std::string &Out) : Out(Out) {}
-  ByteSink(std::string &Out, const std::vector<int32_t> *Perm)
+  explicit ByteSink(std::string &Out,
+                    const std::vector<int32_t> *Perm = nullptr)
       : Out(Out), Perm(Perm) {}
 
   void u8(uint8_t V) { Out.push_back(static_cast<char>(V)); }
@@ -28,25 +36,62 @@ public:
       Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
   }
   void i32(int32_t V) { u32(static_cast<uint32_t>(V)); }
-  void u64(uint64_t V) {
-    for (int I = 0; I != 8; ++I)
-      Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  }
   void value(const Value &V) {
     u8(static_cast<uint8_t>(V.Kind));
-    int64_t D = V.Data;
-    if (Perm && V.Kind == ValueKind::Machine && D >= 0 &&
-        D < static_cast<int64_t>(Perm->size()))
-      D = (*Perm)[static_cast<size_t>(D)];
-    u64(static_cast<uint64_t>(D));
+    const uint64_t D = static_cast<uint64_t>(mappedData(V, Perm));
+    for (int I = 0; I != 8; ++I)
+      Out.push_back(static_cast<char>((D >> (8 * I)) & 0xff));
   }
 
 private:
   std::string &Out;
-  const std::vector<int32_t> *Perm = nullptr;
+  const std::vector<int32_t> *Perm;
 };
 
-void serializeExecFrame(ByteSink &Sink, const ExecFrame &F) {
+/// The same field walk folded straight into a fingerprint: each field
+/// is one word (hashFold), element counts included, so the word stream
+/// is prefix-free exactly like the bytes and no buffer is built.
+class HashSink {
+public:
+  explicit HashSink(const std::vector<int32_t> *Perm = nullptr)
+      : Perm(Perm) {}
+
+  void u8(uint8_t V) { H = hashFold(H, V); }
+  void u32(uint32_t V) { H = hashFold(H, V); }
+  void i32(int32_t V) { u32(static_cast<uint32_t>(V)); }
+  void value(const Value &V) {
+    H = hashFold(H, static_cast<uint8_t>(V.Kind));
+    H = hashFold(H, static_cast<uint64_t>(mappedData(V, Perm)));
+  }
+  /// 0 is the CowMachine cache's "not computed" sentinel; remap it so a
+  /// valid fingerprint is never mistaken for it.
+  uint64_t finish() const { return H ? H : 0x9e3779b97f4a7c15ULL; }
+
+private:
+  uint64_t H = 0x504d4348u; // "PMCH"
+  const std::vector<int32_t> *Perm;
+};
+
+/// The walk's third sink: collects the machine ids its values reference
+/// (the bits of machineRefsMask).
+struct RefsSink {
+  uint64_t Mask = RefsComputedBit;
+
+  void u8(uint8_t) {}
+  void u32(uint32_t) {}
+  void i32(int32_t) {}
+  void value(const Value &V) {
+    if (V.Kind != ValueKind::Machine)
+      return;
+    Mask |= V.Data >= 0 && V.Data < 62 ? 1ull << V.Data : RefsOverflowBit;
+  }
+};
+
+// The field walk. Every sink sees the same fields in the same order;
+// counts precede their elements, so the sequence is prefix-free.
+
+template <typename SinkT>
+void serializeExecFrame(SinkT &Sink, const ExecFrame &F) {
   Sink.i32(F.Body);
   Sink.i32(F.PC);
   Sink.u8(static_cast<uint8_t>(F.Kind));
@@ -59,7 +104,8 @@ void serializeExecFrame(ByteSink &Sink, const ExecFrame &F) {
   Sink.value(F.Result);
 }
 
-void serializeStateFrame(ByteSink &Sink, const StateFrame &F) {
+template <typename SinkT>
+void serializeStateFrame(SinkT &Sink, const StateFrame &F) {
   Sink.i32(F.State);
   Sink.u32(static_cast<uint32_t>(F.Inherit.size()));
   for (int32_t H : F.Inherit)
@@ -69,11 +115,8 @@ void serializeStateFrame(ByteSink &Sink, const StateFrame &F) {
     serializeExecFrame(Sink, E);
 }
 
-/// Seed for the config-level combination; any fixed odd constant works,
-/// but it must never change once state counts are recorded.
-constexpr uint64_t ConfigHashSeed = 0x50434647u; // "PCFG"
-
-void serializeMachineImpl(ByteSink &Sink, const MachineState &M) {
+template <typename SinkT>
+void serializeMachineImpl(SinkT &Sink, const MachineState &M) {
   Sink.i32(M.MachineIndex);
   // 0 = deleted, 1 = alive, 2 = crashed (a fault, restartable): a
   // crashed machine must not merge with a deleted one, but without
@@ -111,26 +154,46 @@ void serializeMachineImpl(ByteSink &Sink, const MachineState &M) {
                                  : 0)));
 }
 
+/// The config header, then the machine blocks in slot order: slot k
+/// holds machine InvPerm[k] (nullptr: the identity, machine k).
+void serializeConfigImpl(ByteSink &Sink, const Config &Cfg,
+                         const std::vector<int32_t> *InvPerm) {
+  Sink.u8(static_cast<uint8_t>(Cfg.Error));
+  Sink.u32(static_cast<uint32_t>(Cfg.Machines.size()));
+  for (size_t K = 0; K != Cfg.Machines.size(); ++K)
+    serializeMachineImpl(Sink, *Cfg.Machines[InvPerm ? (*InvPerm)[K] : K]);
+}
+
+/// Fingerprint of \p M with machine-typed values renamed through
+/// \p Perm (nullptr: the plain fingerprint).
+uint64_t streamFingerprint(const MachineState &M,
+                           const std::vector<int32_t> *Perm) {
+  HashSink Sink(Perm);
+  serializeMachineImpl(Sink, M);
+  return Sink.finish();
+}
+
+/// Seed for the config-level combination; any fixed odd constant works,
+/// but it must never change once state counts are recorded.
+constexpr uint64_t ConfigHashSeed = 0x50434647u; // "PCFG"
+
+/// The config hash: the ordered hashCombine of the error component,
+/// the machine count and \p SlotFp(k) for every slot k.
+template <typename SlotFpT>
+uint64_t combineConfigHash(const Config &Cfg, SlotFpT SlotFp) {
+  uint64_t H = hashCombine(ConfigHashSeed,
+                           static_cast<uint64_t>(Cfg.Error));
+  H = hashCombine(H, static_cast<uint64_t>(Cfg.Machines.size()));
+  for (size_t K = 0; K != Cfg.Machines.size(); ++K)
+    H = hashCombine(H, SlotFp(K));
+  return H;
+}
+
 } // namespace
-
-void p::serializeMachine(const MachineState &M, std::string &Out) {
-  ByteSink Sink(Out);
-  serializeMachineImpl(Sink, M);
-}
-
-void p::serializeMachineMapped(const MachineState &M,
-                               const std::vector<int32_t> &Perm,
-                               std::string &Out) {
-  ByteSink Sink(Out, &Perm);
-  serializeMachineImpl(Sink, M);
-}
 
 void p::serializeConfig(const Config &Cfg, std::string &Out) {
   ByteSink Sink(Out);
-  Sink.u8(static_cast<uint8_t>(Cfg.Error));
-  Sink.u32(static_cast<uint32_t>(Cfg.Machines.size()));
-  for (const CowMachine &M : Cfg.Machines)
-    serializeMachine(*M, Out);
+  serializeConfigImpl(Sink, Cfg, nullptr);
 }
 
 void p::serializeConfigPermuted(const Config &Cfg,
@@ -138,108 +201,42 @@ void p::serializeConfigPermuted(const Config &Cfg,
                                 const std::vector<int32_t> &InvPerm,
                                 std::string &Out) {
   ByteSink Sink(Out, &Perm);
-  Sink.u8(static_cast<uint8_t>(Cfg.Error));
-  Sink.u32(static_cast<uint32_t>(Cfg.Machines.size()));
-  // Slot k of π·Cfg holds the (value-renamed) state of machine π⁻¹(k).
-  for (size_t K = 0; K != Cfg.Machines.size(); ++K)
-    serializeMachineImpl(Sink, *Cfg.Machines[InvPerm[K]]);
+  serializeConfigImpl(Sink, Cfg, &InvPerm);
 }
 
-uint64_t p::machineFingerprintFresh(const MachineState &M,
-                                    std::string &Scratch) {
-  Scratch.clear();
-  serializeMachine(M, Scratch);
-  uint64_t F = hashBytes(Scratch.data(), Scratch.size());
-  // 0 is the cache's "not computed" sentinel; remap so a valid
-  // fingerprint is never mistaken for it.
-  return F ? F : 0x9e3779b97f4a7c15ULL;
+uint64_t p::machineFingerprintFresh(const MachineState &M) {
+  return streamFingerprint(M, nullptr);
 }
 
-uint64_t p::machineFingerprint(const CowMachine &M, std::string &Scratch) {
+uint64_t p::machineFingerprint(const CowMachine &M) {
   if (uint64_t F = M.cachedFingerprint())
     return F;
-  uint64_t F = machineFingerprintFresh(*M, Scratch);
+  uint64_t F = machineFingerprintFresh(*M);
   M.cacheFingerprint(F);
   return F;
 }
 
-namespace {
-
-template <typename PerMachineFp>
-uint64_t combineConfigHash(const Config &Cfg, PerMachineFp Fp) {
-  uint64_t H = hashCombine(ConfigHashSeed,
-                           static_cast<uint64_t>(Cfg.Error));
-  H = hashCombine(H, static_cast<uint64_t>(Cfg.Machines.size()));
-  for (const CowMachine &M : Cfg.Machines)
-    H = hashCombine(H, Fp(M));
-  return H;
-}
-
-} // namespace
-
-uint64_t p::hashConfig(const Config &Cfg, std::string &Scratch) {
-  return combineConfigHash(Cfg, [&](const CowMachine &M) {
-    return machineFingerprint(M, Scratch);
-  });
-}
-
 uint64_t p::hashConfig(const Config &Cfg) {
-  std::string Scratch;
-  Scratch.reserve(256);
-  return hashConfig(Cfg, Scratch);
+  return combineConfigHash(
+      Cfg, [&](size_t K) { return machineFingerprint(Cfg.Machines[K]); });
 }
 
-uint64_t p::hashConfigFresh(const Config &Cfg, std::string &Scratch) {
-  return combineConfigHash(Cfg, [&](const CowMachine &M) {
-    return machineFingerprintFresh(*M, Scratch);
-  });
+uint64_t p::hashConfigFresh(const Config &Cfg) {
+  return combineConfigHash(
+      Cfg, [&](size_t K) { return machineFingerprintFresh(*Cfg.Machines[K]); });
 }
 
 //===----------------------------------------------------------------------===//
 // Symmetry support
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void noteRef(uint64_t &Mask, const Value &V) {
-  if (V.Kind != ValueKind::Machine)
-    return;
-  if (V.Data >= 0 && V.Data < 62)
-    Mask |= 1ull << V.Data;
-  else
-    Mask |= RefsOverflowBit;
-}
-
-void noteRefs(uint64_t &Mask, const ExecFrame &F) {
-  for (const Value &V : F.Operands)
-    noteRef(Mask, V);
-  for (const Value &V : F.Params)
-    noteRef(Mask, V);
-  noteRef(Mask, F.Result);
-}
-
-} // namespace
-
 uint64_t p::machineRefsMaskFresh(const MachineState &M) {
-  // Mirrors serializeMachine: the mask covers exactly the ids that can
-  // appear in the serialized bytes (a dead machine serializes as a
-  // header only, so it references nothing).
-  uint64_t Mask = RefsComputedBit;
-  if (!M.Alive)
-    return Mask;
-  for (const StateFrame &F : M.Frames)
-    for (const ExecFrame &E : F.SavedCont)
-      noteRefs(Mask, E);
-  for (const ExecFrame &F : M.Exec)
-    noteRefs(Mask, F);
-  for (const Value &V : M.Vars)
-    noteRef(Mask, V);
-  noteRef(Mask, M.Msg);
-  noteRef(Mask, M.Arg);
-  noteRef(Mask, M.RaiseArg);
-  for (const auto &[E, V] : M.Queue)
-    noteRef(Mask, V);
-  return Mask;
+  // The same walk as the fingerprint, so the mask covers exactly the
+  // ids that can appear in it (a dead machine's walk stops at its
+  // header, so it references nothing).
+  RefsSink Sink;
+  serializeMachineImpl(Sink, M);
+  return Sink.Mask;
 }
 
 uint64_t p::machineRefsMask(const CowMachine &M) {
@@ -253,24 +250,14 @@ uint64_t p::machineRefsMask(const CowMachine &M) {
 uint64_t p::hashConfigPermuted(const Config &Cfg,
                                const std::vector<int32_t> &Perm,
                                const std::vector<int32_t> &InvPerm,
-                               uint64_t Support, std::string &Scratch) {
-  uint64_t H = hashCombine(ConfigHashSeed,
-                           static_cast<uint64_t>(Cfg.Error));
-  H = hashCombine(H, static_cast<uint64_t>(Cfg.Machines.size()));
-  for (size_t K = 0; K != Cfg.Machines.size(); ++K) {
+                               uint64_t Support) {
+  return combineConfigHash(Cfg, [&](size_t K) {
+    // Slot k holds machine π⁻¹(k). One that references no renamed id
+    // walks the same words under π (the slot move is encoded by the
+    // combination order, not the walk), so it reuses its cached
+    // fingerprint.
     const CowMachine &M = Cfg.Machines[InvPerm[K]];
-    uint64_t F;
-    if ((machineRefsMask(M) & Support) == 0) {
-      // No renamed id appears in the bytes (the slot move is encoded by
-      // the combination order, not the bytes) — reuse the cache.
-      F = machineFingerprint(M, Scratch);
-    } else {
-      Scratch.clear();
-      serializeMachineMapped(*M, Perm, Scratch);
-      uint64_t Raw = hashBytes(Scratch.data(), Scratch.size());
-      F = Raw ? Raw : 0x9e3779b97f4a7c15ULL;
-    }
-    H = hashCombine(H, F);
-  }
-  return H;
+    return (machineRefsMask(M) & Support) == 0 ? machineFingerprint(M)
+                                               : streamFingerprint(*M, &Perm);
+  });
 }

@@ -22,7 +22,9 @@
 /// machine per slice, so successor cost is proportional to what
 /// changed, not to the whole system). Each snapshot also carries a
 /// cached 64-bit fingerprint slot that mut() invalidates, which is what
-/// makes the checker's incremental state hashing safe (see
+/// makes the checker's incremental state hashing safe. The fingerprint
+/// is streamed from the machine's fields, with no bytes built; the
+/// canonical serialization is the oracle it is tested against (see
 /// checker/StateHash.h).
 ///
 //===----------------------------------------------------------------------===//

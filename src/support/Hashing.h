@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Small deterministic hashing utilities used by the model checker's state
-/// fingerprinting. FNV-1a over bytes plus a 64-bit mix-based combiner.
+/// fingerprinting. FNV-1a over bytes, a multiply fold over words, and a
+/// 64-bit mix-based combiner.
 /// Determinism across runs matters: explored-state counts reported by the
 /// benchmarks must be reproducible.
 ///
@@ -43,6 +44,16 @@ inline uint64_t hashCombine(uint64_t Hash, uint64_t Value) {
   X *= 0x94d049bb133111ebULL;
   X ^= X >> 31;
   return X;
+}
+
+/// Folds one 64-bit word into a running hash: the 128-bit product of
+/// (hash ^ word) with a fixed odd constant, its halves xored. One
+/// multiply per word, so a field walk can hash as it goes instead of
+/// first serializing bytes for hashBytes.
+inline uint64_t hashFold(uint64_t Hash, uint64_t Word) {
+  const unsigned __int128 P =
+      static_cast<unsigned __int128>(Hash ^ Word) * 0x9fb21c651e98df25ULL;
+  return static_cast<uint64_t>(P) ^ static_cast<uint64_t>(P >> 64);
 }
 
 /// Convenience overload hashing a string's contents.

@@ -5,12 +5,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/Checker.h"
+#include "checker/SchedStack.h"
 #include "checker/StateHash.h"
 #include "frontend/Frontend.h"
 #include "host/Host.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <set>
 
 using namespace p;
@@ -241,5 +244,50 @@ machine Worker {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DelayZeroEquivalence,
                          ::testing::Range(0, 25));
+
+// The scheduler stack against a std::deque model (front = top), across
+// the inline/heap boundary: every corpus program stays inline, so this
+// is what exercises the heap fallback.
+TEST(SchedStack, MatchesDequeAcrossTheInlineBoundary) {
+  SchedStack S;
+  std::deque<int32_t> Model;
+  auto expectSame = [&](const char *After) {
+    ASSERT_EQ(S.size(), Model.size()) << After;
+    EXPECT_TRUE(std::equal(S.begin(), S.end(), Model.begin(), Model.end()))
+        << After;
+    if (!Model.empty()) {
+      EXPECT_EQ(S.top(), Model.front()) << After;
+    }
+  };
+  for (int32_t Id = 0; Id != 2 * static_cast<int32_t>(SchedStack::InlineCap);
+       ++Id) {
+    S.push(Id);
+    Model.push_front(Id);
+    expectSame("push");
+  }
+  SchedStack Copy = S;
+  S.rotate();
+  Model.push_back(Model.front());
+  Model.pop_front();
+  expectSame("rotate");
+  S.remove(3);
+  std::erase(Model, 3);
+  expectSame("remove");
+  while (!Model.empty()) {
+    S.pop();
+    Model.pop_front();
+    expectSame("pop");
+  }
+  S.push(7); // Back inline after draining the heap.
+  Model.push_front(7);
+  expectSame("push after drain");
+  EXPECT_TRUE(S.contains(7));
+  EXPECT_FALSE(S.contains(3));
+
+  SchedStack Moved = std::move(Copy);
+  EXPECT_EQ(Moved.size(), 2 * SchedStack::InlineCap);
+  EXPECT_EQ(Moved.top(), 2 * static_cast<int32_t>(SchedStack::InlineCap) - 1);
+  EXPECT_TRUE(Copy.empty()); // A moved-from stack stays valid.
+}
 
 } // namespace

@@ -328,10 +328,11 @@ TEST(CheckpointCorruption, StaleFormatVersionIsRejected) {
   // Forge another format version and re-seal the CRC, simulating a
   // file from an older build (version 1 stored per-entry hashed lists,
   // not table images; version 2 stored no depths for depth-bounded
-  // runs) or a newer one: the load must fail on the version, not
+  // runs; version 3 keys were hashed from the serialized bytes, not
+  // streamed) or a newer one: the load must fail on the version, not
   // misparse the payload.
-  ASSERT_GT(ckpt::FormatVersion, 2u);
-  for (uint32_t Forged : {1u, 2u, ckpt::FormatVersion + 7}) {
+  ASSERT_GT(ckpt::FormatVersion, 3u);
+  for (uint32_t Forged : {1u, 2u, 3u, ckpt::FormatVersion + 7}) {
     for (int I = 0; I != 4; ++I)
       Bytes[8 + I] = static_cast<char>((Forged >> (8 * I)) & 0xff);
     const uint32_t Crc = ckpt::crc32(Bytes.data(), Bytes.size() - 4);

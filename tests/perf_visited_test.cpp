@@ -125,10 +125,10 @@ TEST(VisitedModes, DroppableInvAckBudget1AgreesAcrossModes) {
   }
 }
 
-// The VerifyHashes debug path recomputes every fingerprint from the
-// full serialization on every node and compares it against the
-// incremental (cached) hash; any divergence means a mutation path
-// skipped CowMachine::mut(). Running it over a real search exercises
+// The VerifyHashes debug path re-walks every machine on every node
+// (hashConfigFresh, which ignores the caches) and compares the result
+// against the incremental (cached) hash; any divergence means a
+// mutation path skipped CowMachine::mut(). Running it over a real search exercises
 // every Executor mutation site.
 TEST(IncrementalHash, VerifyHashesFindsNoMismatchDuringSearch) {
   CompiledProgram Prog = compile(corpus::german(2));
@@ -146,7 +146,9 @@ TEST(IncrementalHash, VerifyHashesFindsNoMismatchDuringSearch) {
 
 // Direct unit check: mutate each semantically relevant component of a
 // Config through the COW accessors and confirm the incremental hash
-// tracks the cache-oblivious oracle after every mutation.
+// tracks the cache-oblivious re-walk after every mutation. Both are
+// streamed fingerprints; the canonical bytes are the oracle for the
+// walk itself (support_test's StateHash.HashAgreesWithBytes).
 TEST(IncrementalHash, TracksOracleAcrossComponentMutations) {
   CompiledProgram Prog = compile(R"(
 event Ping(int);
@@ -165,20 +167,19 @@ machine Other {
 )");
   Executor Exec(Prog);
   Config Cfg = Exec.makeInitialConfig();
-  std::string Scratch;
   auto expectInSync = [&](const char *What) {
-    EXPECT_EQ(hashConfig(Cfg, Scratch), hashConfigFresh(Cfg, Scratch))
+    EXPECT_EQ(hashConfig(Cfg), hashConfigFresh(Cfg))
         << "stale fingerprint cache after: " << What;
   };
   expectInSync("initial config");
 
   Exec.step(Cfg, 0); // Runs the entry; Vars/Frames change.
   expectInSync("running a slice");
-  uint64_t AfterStep = hashConfig(Cfg, Scratch);
+  uint64_t AfterStep = hashConfig(Cfg);
 
   Cfg.mutableMachine(0).Vars[0] = Value::integer(42);
   expectInSync("variable store write");
-  EXPECT_NE(hashConfig(Cfg, Scratch), AfterStep);
+  EXPECT_NE(hashConfig(Cfg), AfterStep);
 
   Exec.enqueueEvent(Cfg, 0, eventId(Prog, "Ping"), Value::integer(3));
   expectInSync("queue append");
@@ -197,13 +198,13 @@ machine Other {
   // reuse the caches, and mutating the copy must not disturb the
   // original's hash.
   Config Copy = Cfg;
-  EXPECT_EQ(hashConfig(Copy, Scratch), hashConfig(Cfg, Scratch));
-  uint64_t Before = hashConfig(Cfg, Scratch);
+  EXPECT_EQ(hashConfig(Copy), hashConfig(Cfg));
+  uint64_t Before = hashConfig(Cfg);
   Copy.mutableMachine(1).Vars[0] = Value::integer(9);
   expectInSync("mutating a copy (original)");
-  EXPECT_EQ(hashConfig(Cfg, Scratch), Before);
-  EXPECT_EQ(hashConfig(Copy, Scratch), hashConfigFresh(Copy, Scratch));
-  EXPECT_NE(hashConfig(Copy, Scratch), Before);
+  EXPECT_EQ(hashConfig(Cfg), Before);
+  EXPECT_EQ(hashConfig(Copy), hashConfigFresh(Copy));
+  EXPECT_NE(hashConfig(Copy), Before);
 }
 
 // Structural-sharing invariants of the COW layer itself: copying a

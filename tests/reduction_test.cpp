@@ -279,9 +279,7 @@ TEST(Reduction, IdentityPermutationMatchesUnpermutedEncodings) {
   serializeConfigPermuted(Cfg, Identity, Identity, Permuted);
   EXPECT_EQ(Plain, Permuted);
 
-  std::string Scratch;
-  EXPECT_EQ(hashConfigPermuted(Cfg, Identity, Identity, 0, Scratch),
-            hashConfig(Cfg, Scratch));
+  EXPECT_EQ(hashConfigPermuted(Cfg, Identity, Identity, 0), hashConfig(Cfg));
 }
 
 // PeakRssBytes and VisitedBytes are per-run quantities: a second check()

@@ -5,12 +5,18 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/StateHash.h"
+#include "corpus/Corpus.h"
+#include "frontend/Frontend.h"
 #include "pir/Program.h"
+#include "runtime/Executor.h"
 #include "runtime/Value.h"
 #include "support/Diagnostics.h"
 #include "support/Hashing.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <random>
 
 using namespace p;
 
@@ -104,6 +110,11 @@ TEST(StateHash, SensitiveToEverySemanticComponent) {
   }
   {
     Config C = Base;
+    C.mutableMachine(0).Vars[0] = Value::boolean(true); // Same data word.
+    EXPECT_NE(hashConfig(C), H0) << "value kinds";
+  }
+  {
+    Config C = Base;
     C.mutableMachine(0).Frames[0].State = 1;
     EXPECT_NE(hashConfig(C), H0) << "control state";
   }
@@ -157,6 +168,130 @@ TEST(StateHash, SensitiveToEverySemanticComponent) {
     G.SavedCont.push_back(Cont);
     C.mutableMachine(0).Frames.push_back(G);
     EXPECT_NE(hashConfig(C), H0) << "saved continuations";
+  }
+  {
+    Config C = Base;
+    C.mutableMachine(0).Msg = Value::event(1);
+    EXPECT_NE(hashConfig(C), H0) << "msg register";
+  }
+  {
+    Config C = Base;
+    C.mutableMachine(0).Arg = Value::integer(5);
+    EXPECT_NE(hashConfig(C), H0) << "arg register";
+  }
+  {
+    Config C = Base;
+    C.mutableMachine(0).RaiseArg = Value::integer(5);
+    EXPECT_NE(hashConfig(C), H0) << "raise payload";
+  }
+  {
+    Config C = Base;
+    C.mutableMachine(0).TransferTarget = 1;
+    EXPECT_NE(hashConfig(C), H0) << "transfer target";
+  }
+  {
+    Config Deleted = Base, Crashed = Base;
+    Deleted.mutableMachine(0).Alive = false;
+    Crashed.mutableMachine(0).Alive = false;
+    Crashed.mutableMachine(0).Crashed = true;
+    EXPECT_NE(hashConfig(Crashed), H0) << "crashed machines";
+    EXPECT_NE(hashConfig(Crashed), hashConfig(Deleted))
+        << "crashed vs deleted";
+  }
+  {
+    Config Fail = Base, Ok = Base;
+    Fail.mutableMachine(0).InjectedForeignFail = true;
+    Ok.mutableMachine(0).InjectedForeignFail = false;
+    EXPECT_NE(hashConfig(Fail), H0) << "injected foreign failure";
+    EXPECT_NE(hashConfig(Ok), H0) << "injected foreign success";
+    EXPECT_NE(hashConfig(Fail), hashConfig(Ok)) << "foreign fail vs ok";
+  }
+  {
+    ExecFrame E;
+    E.Kind = FrameKind::Model;
+    E.Params = {Value::integer(1)};
+    Config P = Base, Q = Base, R = Base;
+    P.mutableMachine(0).Exec.push_back(E);
+    E.Params = {Value::integer(2)};
+    Q.mutableMachine(0).Exec.push_back(E);
+    E.Params = {Value::integer(1)};
+    E.Result = Value::integer(3);
+    R.mutableMachine(0).Exec.push_back(E);
+    EXPECT_NE(hashConfig(P), hashConfig(Q)) << "model-frame params";
+    EXPECT_NE(hashConfig(P), hashConfig(R)) << "model-frame result";
+  }
+  {
+    // The same values split differently between the operand stack and
+    // the params: a hash that dropped element counts would merge them.
+    ExecFrame E;
+    E.Operands = {Value::integer(1), Value::integer(2)};
+    Config Two = Base, One = Base;
+    Two.mutableMachine(0).Exec.push_back(E);
+    E.Operands = {Value::integer(1)};
+    E.Params = {Value::integer(2)};
+    One.mutableMachine(0).Exec.push_back(E);
+    EXPECT_NE(hashConfig(Two), hashConfig(One)) << "operands/params boundary";
+  }
+}
+
+// A seeded random walk over real programs: for every pair of sampled
+// configurations, equal canonical bytes must hold exactly when the
+// streamed fingerprints are equal (no collision in the sample), and
+// every sample's cached, cache-oblivious and identity-permuted hashes
+// must agree.
+TEST(StateHash, HashAgreesWithBytes) {
+  for (const std::string &Src :
+       {corpus::german(2), corpus::workerPool(3), corpus::elevator()}) {
+    CompileResult CR = compileString(Src);
+    ASSERT_TRUE(CR.ok()) << CR.Diags.str();
+    Executor::Options EO;
+    EO.UseModelBodies = true;
+    const Executor Exec(*CR.Program, EO);
+    const Config Root = Exec.makeInitialConfig();
+    std::mt19937_64 Rng(7);
+    std::map<std::string, uint64_t> HashOf;
+    std::map<uint64_t, std::string> BytesOf;
+    Config C = Root;
+    int Depth = 0;
+    int32_t MustRun = -1;
+    std::vector<int32_t> Enabled, Identity;
+    for (int Sample = 0; Sample != 3000; ++Sample) {
+      std::string Bytes;
+      serializeConfig(C, Bytes);
+      const uint64_t H = hashConfig(C);
+      EXPECT_EQ(hashConfigFresh(C), H);
+      Identity.resize(C.Machines.size());
+      for (size_t I = 0; I != Identity.size(); ++I)
+        Identity[I] = static_cast<int32_t>(I);
+      // A full support forces every machine through the renaming walk.
+      EXPECT_EQ(hashConfigPermuted(C, Identity, Identity, ~0ull), H);
+      EXPECT_EQ(HashOf.emplace(Bytes, H).first->second, H)
+          << "equal bytes, different hashes";
+      EXPECT_EQ(BytesOf.emplace(H, Bytes).first->second, Bytes)
+          << "different bytes, equal hashes";
+
+      Enabled.clear();
+      if (MustRun >= 0)
+        Enabled.push_back(MustRun);
+      else
+        for (int32_t I = 0; I != static_cast<int32_t>(C.Machines.size()); ++I)
+          if (Exec.isEnabled(C, I))
+            Enabled.push_back(I);
+      if (Enabled.empty() || C.hasError() || Depth == 200) {
+        C = Root;
+        Depth = 0;
+        MustRun = -1;
+        continue;
+      }
+      const int32_t Id = Enabled[Rng() % Enabled.size()];
+      MustRun = -1;
+      if (Exec.step(C, Id).Outcome == Executor::StepOutcome::ChoicePoint) {
+        C.mutableMachine(Id).InjectedChoice = (Rng() & 1) != 0;
+        MustRun = Id;
+      }
+      ++Depth;
+    }
+    EXPECT_GT(HashOf.size(), 100u) << "the walk must reach many configs";
   }
 }
 
