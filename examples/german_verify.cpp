@@ -24,6 +24,7 @@
 //   --visited-cap BYTES   Compact byte cap (0 = 64 MiB default)
 //   --reduction R         off | sleep | symmetry | both (CheckOptions::Reduce)
 //   --expect-states S     exit 1 unless DistinctStates == S
+//   --expect-nodes N      exit 1 unless NodesExplored == N
 //   --max-seconds T       exit 1 when the run took longer than T
 // With P_VERIFY_HASHES set, the run also exits 1 when any cached
 // fingerprint disagreed with a fresh re-walk (CheckStats::HashMismatches).
@@ -42,6 +43,9 @@
 //                         <base>.html (stats, profile, named uncovered
 //                         transitions, live host latency, metrics)
 //
+// --help prints the flags and exits 0. An unknown flag, a missing value
+// or a malformed number prints the reason and the flags and exits 2.
+//
 //===----------------------------------------------------------------------===//
 
 #include "checker/Checker.h"
@@ -54,6 +58,7 @@
 #include "obs/TraceExport.h"
 #include "support/Interrupt.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,13 +76,56 @@ static CompiledProgram compileOrExit(const std::string &Src) {
   return std::move(*R.Program);
 }
 
+static const char Usage[] =
+    "usage: example_german_verify [flags]\n"
+    "  --workers N  --progress  --trace FILE  --chrome FILE  --msc\n"
+    "  --metrics  --profile  --report BASE\n"
+    "single run: --clients N  --delay D  --visited-mode M  --visited-cap B\n"
+    "  --reduction off|sleep|symmetry|both  --expect-states S\n"
+    "  --expect-nodes N  --max-seconds T  --checkpoint FILE\n"
+    "  --checkpoint-interval S  --resume  --frontier-mem BYTES\n";
+
+/// Prints \p Why and the usage, and exits 2.
+[[noreturn]] static void usageError(const std::string &Why) {
+  std::fprintf(stderr, "%s\n%s", Why.c_str(), Usage);
+  std::exit(2);
+}
+
+/// The value of flag argv[I], advancing I past it (strict, like
+/// parseVisitedFlag: a missing value exits 2).
+static const char *flagValue(int Argc, char **Argv, int &I) {
+  if (I + 1 >= Argc)
+    usageError(std::string(Argv[I]) + " needs a value");
+  return Argv[++I];
+}
+
+/// A decimal integer flag value; anything else exits 2.
+static long long intValue(int Argc, char **Argv, int &I) {
+  const char *Flag = Argv[I], *V = flagValue(Argc, Argv, I);
+  char *End = nullptr;
+  errno = 0;
+  const long long N = std::strtoll(V, &End, 10);
+  if (End == V || *End != '\0' || errno == ERANGE)
+    usageError(std::string(Flag) + " wants an integer, got '" + V + "'");
+  return N;
+}
+
+/// A non-negative number flag value (seconds); anything else exits 2.
+static double realValue(int Argc, char **Argv, int &I) {
+  const char *Flag = Argv[I], *V = flagValue(Argc, Argv, I);
+  char *End = nullptr;
+  const double D = std::strtod(V, &End);
+  if (End == V || *End != '\0' || !(D >= 0))
+    usageError(std::string(Flag) + " wants a number, got '" + V + "'");
+  return D;
+}
+
 static Reduction parseReductionOrExit(const char *S) {
   Reduction R;
-  if (parseReduction(S, R))
-    return R;
-  std::fprintf(stderr, "unknown --reduction '%s' (off|sleep|symmetry|both)\n",
-               S);
-  std::exit(2);
+  if (!parseReduction(S, R))
+    usageError(std::string("unknown --reduction '") + S +
+               "' (off|sleep|symmetry|both)");
+  return R;
 }
 
 int main(int argc, char **argv) {
@@ -88,7 +136,7 @@ int main(int argc, char **argv) {
   VisitedMode Visited = VisitedMode::Fingerprint;
   uint64_t VisitedCap = 0;
   Reduction Reduce = Reduction::Off;
-  long long ExpectStates = -1;
+  long long ExpectStates = -1, ExpectNodes = -1;
   double MaxSeconds = 0;
   bool Profile = false;
   std::string ReportPath;
@@ -99,40 +147,53 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     if (parseVisitedFlag(argc, argv, I, Visited, VisitedCap))
       continue;
-    if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
-      Workers = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--trace") && I + 1 < argc)
-      TracePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--chrome") && I + 1 < argc)
-      ChromePath = argv[++I];
-    else if (!std::strcmp(argv[I], "--msc"))
+    const std::string Flag = argv[I];
+    if (Flag == "--help") {
+      std::printf("%s", Usage);
+      return 0;
+    }
+    if (Flag == "--workers")
+      Workers = static_cast<int>(intValue(argc, argv, I));
+    else if (Flag == "--trace")
+      TracePath = flagValue(argc, argv, I);
+    else if (Flag == "--chrome")
+      ChromePath = flagValue(argc, argv, I);
+    else if (Flag == "--msc")
       Msc = true;
-    else if (!std::strcmp(argv[I], "--metrics"))
+    else if (Flag == "--metrics")
       Metrics = true;
-    else if (!std::strcmp(argv[I], "--progress"))
+    else if (Flag == "--progress")
       Progress = true;
-    else if (!std::strcmp(argv[I], "--clients") && I + 1 < argc)
-      Clients = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--delay") && I + 1 < argc)
-      Delay = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--reduction") && I + 1 < argc)
-      Reduce = parseReductionOrExit(argv[++I]);
-    else if (!std::strcmp(argv[I], "--expect-states") && I + 1 < argc)
-      ExpectStates = std::atoll(argv[++I]);
-    else if (!std::strcmp(argv[I], "--max-seconds") && I + 1 < argc)
-      MaxSeconds = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--profile"))
+    else if (Flag == "--clients")
+      Clients = static_cast<int>(intValue(argc, argv, I));
+    else if (Flag == "--delay")
+      Delay = static_cast<int>(intValue(argc, argv, I));
+    else if (Flag == "--reduction")
+      Reduce = parseReductionOrExit(flagValue(argc, argv, I));
+    else if (Flag == "--expect-states")
+      ExpectStates = intValue(argc, argv, I);
+    else if (Flag == "--expect-nodes")
+      ExpectNodes = intValue(argc, argv, I);
+    else if (Flag == "--max-seconds")
+      MaxSeconds = realValue(argc, argv, I);
+    else if (Flag == "--profile")
       Profile = true;
-    else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
-      ReportPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--checkpoint") && I + 1 < argc)
-      CheckpointPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--checkpoint-interval") && I + 1 < argc)
-      CheckpointInterval = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--resume"))
+    else if (Flag == "--report")
+      ReportPath = flagValue(argc, argv, I);
+    else if (Flag == "--checkpoint")
+      CheckpointPath = flagValue(argc, argv, I);
+    else if (Flag == "--checkpoint-interval")
+      CheckpointInterval = realValue(argc, argv, I);
+    else if (Flag == "--resume")
       Resume = true;
-    else if (!std::strcmp(argv[I], "--frontier-mem") && I + 1 < argc)
-      FrontierMem = std::strtoull(argv[++I], nullptr, 10);
+    else if (Flag == "--frontier-mem") {
+      const long long Bytes = intValue(argc, argv, I);
+      if (Bytes < 0)
+        usageError("--frontier-mem wants a byte count, got " +
+                   std::to_string(Bytes));
+      FrontierMem = static_cast<uint64_t>(Bytes);
+    } else
+      usageError("unknown flag '" + Flag + "'");
   }
 
   interrupt::installHandlers();
@@ -192,6 +253,13 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "FAIL: states=%llu, expected %lld\n",
                    static_cast<unsigned long long>(R.Stats.DistinctStates),
                    ExpectStates);
+      return 1;
+    }
+    if (ExpectNodes >= 0 &&
+        R.Stats.NodesExplored != static_cast<uint64_t>(ExpectNodes)) {
+      std::fprintf(stderr, "FAIL: nodes=%llu, expected %lld\n",
+                   static_cast<unsigned long long>(R.Stats.NodesExplored),
+                   ExpectNodes);
       return 1;
     }
     if (R.Stats.HashMismatches != 0) {

@@ -83,6 +83,29 @@ bool p::parseVisitedFlag(int Argc, char **Argv, int &I, VisitedMode &Mode,
   return true;
 }
 
+uint64_t p::packDecision(const SchedDecision &D) {
+  auto Field = [](int32_t V) {
+    const uint64_t F = static_cast<uint64_t>(static_cast<int64_t>(V) + 1);
+    if (F >> 30) {
+      // Never truncate: a wrong id would replay a different schedule.
+      std::fprintf(stderr, "decision id %d does not fit the trace log\n", V);
+      std::abort();
+    }
+    return F;
+  };
+  return static_cast<uint64_t>(D.K) | uint64_t(D.Choice) << 3 |
+         Field(D.Machine) << 4 | Field(D.Aux) << 34;
+}
+
+SchedDecision p::unpackDecision(uint64_t Word) {
+  SchedDecision D;
+  D.K = static_cast<SchedDecision::Kind>(Word & 7);
+  D.Choice = (Word >> 3) & 1;
+  D.Machine = static_cast<int32_t>((Word >> 4) & 0x3fffffff) - 1;
+  D.Aux = static_cast<int32_t>(Word >> 34) - 1;
+  return D;
+}
+
 std::string CoverageReport::str(const CompiledProgram &Prog) const {
   std::string Out;
   for (size_t I = 0; I != Machines.size() && I != Prog.Machines.size();

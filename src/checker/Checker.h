@@ -78,9 +78,10 @@ enum class VisitedMode : uint8_t {
   /// memory cost. The oracle mode.
   Exact,
   /// Key on 64-bit fingerprints (the default): exact modulo 64-bit
-  /// collisions, one slot per state in a growable lock-striped
-  /// open-addressing table (checker/VisitedTable.h). Deterministic
-  /// across worker counts like Exact.
+  /// collisions, one 16-byte slot per explored node (configuration
+  /// hash, node tag, budget) in a growable lock-striped open-addressing
+  /// table (checker/VisitedTable.h). Deterministic across worker counts
+  /// like Exact.
   Fingerprint,
   /// SPIN-style hash compaction: the same table with a fixed size,
   /// bounded by CheckOptions::VisitedCapBytes. When the table saturates
@@ -171,9 +172,8 @@ struct CheckOptions {
   bool StopOnFirstError = true;
   /// Visited-set representation; see VisitedMode.
   VisitedMode Visited = VisitedMode::Fingerprint;
-  /// Compact mode only: total byte budget for the visited tables
-  /// (rounded down to whole slots, split between the dedup and
-  /// distinct-state tables). 0 picks a 64 MiB default.
+  /// Compact mode only: byte budget of the visited table (rounded down
+  /// to whole slots). 0 picks a 64 MiB default.
   uint64_t VisitedCapBytes = 0;
   /// Debug: on every node, cross-check the incremental (cached) config
   /// hash against a cache-oblivious recomputation from the full
@@ -306,6 +306,12 @@ struct SchedDecision {
   int32_t Aux = -1;     ///< DropEvent/DupEvent: queue index.
 };
 
+/// One decision as one word (never ~0), for the search's trace log:
+/// kind, choice bit, and Machine and Aux offset by one into 30 bits
+/// each. An id outside [-1, 2^30 - 2] aborts with a message.
+uint64_t packDecision(const SchedDecision &D);
+SchedDecision unpackDecision(uint64_t Word);
+
 /// Structural coverage of one exploration: how much of each machine's
 /// static state/transition structure the schedules exercised. A low
 /// transition percentage after an exhaustive search usually means dead
@@ -336,10 +342,10 @@ struct CheckStats {
   int MaxDepth = 0;
   bool Exhausted = true; ///< False when a node/depth cap cut the search.
   double Seconds = 0;
-  /// Visited-set footprint: the allocated slot bytes of the hashed
-  /// tables (node dedup, distinct states, terminals), which only grow,
-  /// plus Exact mode's running per-entry estimate of its byte-keyed
-  /// map. Monotone non-decreasing over a run.
+  /// Visited-set footprint: the allocated slot bytes of the visited
+  /// and terminal tables, which only grow, plus Exact mode's running
+  /// per-entry estimate of its byte-keyed map. Monotone non-decreasing
+  /// over a run.
   uint64_t VisitedBytes = 0;
   int WorkersUsed = 1;       ///< Resolved worker count of the run.
   uint64_t StealCount = 0;   ///< Successful work-stealing operations.

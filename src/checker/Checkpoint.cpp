@@ -264,24 +264,14 @@ bool readU64s(ByteReader &R, std::vector<uint64_t> &Vs) {
 
 void appendImage(const VisitedImage &Img, ByteWriter &W) {
   appendU64s(Img.StripeSlots, W);
-  W.u64(Img.Delays.size());
-  for (int32_t D : Img.Delays)
-    W.i32(D);
-  appendU64s(Img.Keys, W);
+  appendU64s(Img.Words, W);
+  appendU64s(Img.Cfgs, W);
   appendU64s(Img.Masks, W);
 }
 
 bool readImage(ByteReader &R, VisitedImage &Img) {
-  if (!readU64s(R, Img.StripeSlots))
-    return false;
-  uint64_t N = R.u64();
-  if (!R.ok() || N > R.remaining() / 4)
-    return false;
-  Img.Delays.clear();
-  Img.Delays.reserve(N);
-  for (uint64_t I = 0; I != N; ++I)
-    Img.Delays.push_back(R.i32());
-  return readU64s(R, Img.Keys) && readU64s(R, Img.Masks);
+  return readU64s(R, Img.StripeSlots) && readU64s(R, Img.Words) &&
+         readU64s(R, Img.Cfgs) && readU64s(R, Img.Masks);
 }
 
 } // namespace
@@ -482,8 +472,7 @@ void appendPayload(const CheckpointData &D, std::string &Out) {
   W.u8(D.OmissionPossible ? 1 : 0);
   W.u8(D.Exhausted ? 1 : 0);
 
-  appendImage(D.DedupImage, W);
-  appendImage(D.SeenImage, W);
+  appendImage(D.TableImage, W);
   appendImage(D.TerminalImage, W);
   W.u64(D.Exact.size());
   for (const CheckpointData::ExactEntry &E : D.Exact) {
@@ -538,8 +527,7 @@ bool readPayload(ByteReader &R, CheckpointData &D) {
   if (!R.ok())
     return false;
 
-  if (!readImage(R, D.DedupImage) || !readImage(R, D.SeenImage) ||
-      !readImage(R, D.TerminalImage))
+  if (!readImage(R, D.TableImage) || !readImage(R, D.TerminalImage))
     return false;
   uint64_t N = R.u64();
   if (!R.ok())

@@ -19,10 +19,11 @@
 ///    budgets, sleep sets, and the decision path from the root so
 ///    counterexample traces survive the restart), including nodes the
 ///    FrontierStore spilled to disk;
-///  * the visited tables: one positional image per hashed table (node
-///    dedup, distinct states, terminals; see checker/VisitedTable.h)
-///    and, in Exact mode, the byte-keyed dedup map — each entry with
-///    the (delays, sleep mask) pair it was explored under;
+///  * the visited tables: one positional image of the visited table
+///    (node and configuration entries, each node with its tag and the
+///    (budget, sleep mask) pair it was explored under; see
+///    checker/VisitedTable.h), one of the terminal set and, in Exact
+///    mode, the byte-keyed node map;
 ///  * CheckStats counters, the lex-least error record, collected
 ///    terminal hashes, and structural coverage.
 ///
@@ -57,7 +58,9 @@ namespace ckpt {
 /// the depth a key was explored at (version 2 stored 0 delays there).
 /// Version 4: fingerprints are streamed from the field walk, not hashed
 /// from the serialized bytes, so every stored key changed.
-inline constexpr uint32_t FormatVersion = 4;
+/// Version 5: one visited image with per-slot node tags replaces the
+/// separate node-dedup and distinct-state images.
+inline constexpr uint32_t FormatVersion = 5;
 
 /// CRC-32 (IEEE, reflected) over a byte range. Exposed so tests can
 /// forge structurally-valid-but-stale files (e.g. version skew with a
@@ -217,15 +220,13 @@ struct CheckpointData {
   bool OmissionPossible = false;
   bool Exhausted = true;
 
-  /// The hashed visited tables, one image per role: node dedup
-  /// (Fingerprint and Compact modes; empty in Exact mode), distinct
-  /// states, terminals. A bounded (Compact) table's stripes must match
-  /// on restore — guaranteed by VisitedCapBytes joining the fingerprint.
-  VisitedImage DedupImage;
-  VisitedImage SeenImage;
+  /// The visited table (Exact mode: configurations only) and the
+  /// terminal set. A bounded (Compact) table's stripes must match on
+  /// restore — guaranteed by VisitedCapBytes joining the fingerprint.
+  VisitedImage TableImage;
   VisitedImage TerminalImage;
 
-  /// Exact mode's node-dedup map, flattened across shards.
+  /// Exact mode's node map, flattened across shards.
   struct ExactEntry {
     std::string Key;
     int32_t Delays = 0;

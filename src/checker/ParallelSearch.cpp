@@ -64,13 +64,15 @@ size_t traceIndex(uint64_t Ref) {
   return static_cast<size_t>(Ref & ((1ull << TraceIndexBits) - 1));
 }
 
-/// One decision along an explored path. Text is not stored: a
-/// counterexample's lines are rendered by re-executing its schedule.
+/// One decision along an admitted path, packed by packDecision. Text
+/// is not stored: a counterexample's lines are rendered by re-executing
+/// its schedule.
+constexpr uint64_t NoDecision = ~0ull;
 struct TraceEntry {
   uint64_t Parent = NoTraceRef;
-  SchedDecision Decision;
-  bool HasDecision = false;
+  uint64_t Decision = NoDecision;
 };
+static_assert(sizeof(TraceEntry) == 16);
 
 /// One sleeping machine (Reduction::Sleep): the id and the footprint of
 /// the slice it would run — its own bit plus the send/create target's.
@@ -94,7 +96,9 @@ struct Node {
   /// for the root. Attribution metadata — never part of a dedup key or
   /// serialization, so it cannot change what is explored.
   int32_t ByType = -1;
-  uint64_t TraceIdx = NoTraceRef;
+  uint64_t TraceIdx = NoTraceRef; ///< The committed decision chain.
+  /// The packed decision that made this node; see commitTrace.
+  uint64_t Pending = NoDecision;
   /// Sleep set (Reduction::Sleep/Both only; always empty otherwise).
   /// An entry's machine ran first in a sibling branch; re-running it
   /// here before any dependent decision would commute back into that
@@ -191,7 +195,7 @@ void appendI32(std::string &Out, int32_t V) {
 }
 
 /// The pair an Exact-mode key was explored under (see
-/// dominatedOrReplace, the rule every visited table shares).
+/// dominates(), the rule every visited table shares).
 struct ExactDom {
   int32_t Delays = 0;
   uint64_t Mask = 0;
@@ -324,27 +328,30 @@ private:
     return std::min(N, 256u);
   }
 
-  uint64_t addTrace(Worker &W, uint64_t Parent, SchedDecision D) {
-    TraceEntry E;
-    E.Parent = Parent;
-    E.Decision = D;
-    E.HasDecision = true;
+  /// Appends \p N's pending decision to \p W's arena. Only admitted and
+  /// branching nodes commit, so pruned ones write nothing.
+  void commitTrace(Worker &W, Node &N) {
+    if (N.Pending == NoDecision)
+      return;
     std::lock_guard<std::mutex> L(W.ArenaMu);
-    W.Arena.push_back(E);
-    return packTraceRef(W.Id, W.Arena.size() - 1);
+    W.Arena.push_back({N.TraceIdx, N.Pending});
+    N.TraceIdx = packTraceRef(W.Id, W.Arena.size() - 1);
+    N.Pending = NoDecision;
   }
 
-  std::vector<SchedDecision> materializeSchedule(uint64_t Ref) {
+  /// \p N's schedule from the root: the committed chain, then Pending.
+  std::vector<SchedDecision> materializeSchedule(const Node &N) {
     std::vector<SchedDecision> Out;
-    while (Ref != NoTraceRef) {
+    if (N.Pending != NoDecision)
+      Out.push_back(unpackDecision(N.Pending));
+    for (uint64_t Ref = N.TraceIdx; Ref != NoTraceRef;) {
       Worker &W = *Workers[traceWorker(Ref)];
       TraceEntry E;
       {
         std::lock_guard<std::mutex> L(W.ArenaMu);
         E = W.Arena[traceIndex(Ref)];
       }
-      if (E.HasDecision)
-        Out.push_back(E.Decision);
+      Out.push_back(unpackDecision(E.Decision));
       Ref = E.Parent;
     }
     std::reverse(Out.begin(), Out.end());
@@ -409,24 +416,21 @@ private:
     return false;
   }
 
-  /// Probes one of the hashed tables. Anything but Explore counts as
-  /// seen; a full probe window of a bounded (Compact) table also
-  /// records that the search may have omitted states.
-  VisitedTable::Visit probe(Worker &W, VisitedTable &T, uint64_t Key,
-                            int Delays = 0, uint64_t Mask = 0) {
-    const VisitedTable::Visit V = T.visit(Key, Delays, Mask, &W.ContentionNs);
-    if (V == VisitedTable::Visit::Full)
-      Omission.store(true, std::memory_order_relaxed);
-    return V;
-  }
-
-  /// Counts a distinct global configuration given its fingerprint.
-  /// \p ByType is the profiler's producer attribution (the type whose
-  /// slice created the configuration; -1 for the root), ignored unless
-  /// profiling is on.
+  /// Notes configuration \p CfgHash without a node.
   void noteConfig(Worker &W, uint64_t CfgHash, const Config &Cfg,
                   int32_t ByType) {
-    if (probe(W, Seen, CfgHash) != VisitedTable::Visit::Explore)
+    countConfig(W, Visited.note(CfgHash, &W.ContentionNs), Cfg, ByType);
+  }
+
+  /// Counts \p Cfg when \p V, the visited table's answer, is NewConfig;
+  /// Full records that the search may have omitted states. \p ByType
+  /// is the profiler's producer attribution (the type whose slice made
+  /// the configuration; -1 for the root), ignored unless profiling.
+  void countConfig(Worker &W, VisitedTable::Visit V, const Config &Cfg,
+                   int32_t ByType) {
+    if (V == VisitedTable::Visit::Full)
+      Omission.store(true, std::memory_order_relaxed);
+    if (V != VisitedTable::Visit::NewConfig)
       return;
     DistinctStates.fetch_add(1, std::memory_order_relaxed);
     if (ProfileOn)
@@ -450,7 +454,8 @@ private:
     // The terminal table grows in every mode, so the set stays exact:
     // quiescent configurations are few, and TerminalHashes feeds the
     // d=0 ≡ runtime tests.
-    if (probe(W, Terminals, CfgHash) != VisitedTable::Visit::Explore)
+    if (Terminals.note(CfgHash, &W.ContentionNs) !=
+        VisitedTable::Visit::NewConfig)
       return;
     W.Terminals.fetch_add(1, std::memory_order_relaxed);
     if (Opts.CollectTerminals)
@@ -465,8 +470,8 @@ private:
   /// equal canonical keys have isomorphic futures and may share one
   /// visited-set entry.
   struct NodeKeys {
-    uint64_t CfgHash = 0; ///< Config hash (noteConfig/terminals).
-    uint64_t Key = 0;     ///< Node-dedup key (Exact: hash of W.Buf).
+    uint64_t CfgHash = 0; ///< Config hash: the state's identity.
+    uint64_t Key = 0;     ///< Node tag (Exact: the hash of W.Buf).
     /// The node's sleep mask; under symmetry renamed through the winning
     /// π, so mask dominance (admit) compares masks in canonical id
     /// space — orbit members reached via different permutations must
@@ -496,33 +501,35 @@ private:
       Put(N.FaultsUsed);
   }
 
-  /// True when \p N is to be expanded. Probes the node-dedup set for
-  /// K.Key under (\p Spent, K.Mask) — see dominatedOrReplace — then
-  /// counts the node's configuration unless the key was Dominated: a
-  /// stored key's configuration was noted when the key was stored. A
-  /// Full Compact window stored nothing, so it still notes. \p Spent is
-  /// the budget the node has used: its delays in a delay-bounded search,
-  /// its depth in a depth-bounded one. Exact mode keys on the node bytes
-  /// in W.Buf. An admitted node counts as explored; one at the depth
-  /// bound is not expanded, and the search is then not exhausted.
-  bool admit(Worker &W, const Node &N, const NodeKeys &K, int Spent) {
+  /// True when \p N is to be expanded. One visited-table probe checks
+  /// node (K.CfgHash, K.Key) under (\p Spent, K.Mask) — see
+  /// dominates() — and whether its configuration is new; a Full
+  /// Compact window prunes. \p Spent is the node's delays, or its depth
+  /// in a depth-bounded search. Exact mode keys nodes on W.Buf. An
+  /// admitted node counts as explored and commits its pending decision;
+  /// one at the depth bound is not expanded, and the search is then not
+  /// exhausted.
+  bool admit(Worker &W, Node &N, const NodeKeys &K, int Spent) {
     using Visit = VisitedTable::Visit;
     Visit V = Visit::Explore;
     if (Mode != VisitedMode::Exact) {
-      V = probe(W, Dedup, K.Key, Spent, K.Mask);
+      V = Visited.visit(K.CfgHash, K.Key, Spent, K.Mask, &W.ContentionNs);
+      countConfig(W, V, N.Cfg, N.ByType);
     } else {
       ExactShard &S = Exact[shardOf(K.Key)];
       auto L = lockTimed(S.Mu, &W.ContentionNs);
       auto [It, Inserted] = S.Map.try_emplace(W.Buf, ExactDom{Spent, K.Mask});
       if (Inserted)
         S.Bytes += exactEntryBytes(It->first);
-      else if (dominatedOrReplace(It->second.Delays, It->second.Mask, Spent,
-                                  K.Mask))
+      else if (dominates(It->second.Delays, It->second.Mask, Spent, K.Mask))
         V = Visit::Dominated;
+      else
+        It->second = {Spent, K.Mask};
+      L.unlock();
+      if (V != Visit::Dominated)
+        noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
     }
-    if (V != Visit::Dominated)
-      noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
-    if (V != Visit::Explore) {
+    if (V == Visit::Dominated || V == Visit::Full) {
       if (!K.Identity) {
         SymmetryCollapsed.fetch_add(1, std::memory_order_relaxed);
         if (ProfileOn)
@@ -538,6 +545,7 @@ private:
       Exhausted.store(false, std::memory_order_relaxed);
       return false;
     }
+    commitTrace(W, N);
     return true;
   }
 
@@ -550,7 +558,7 @@ private:
     R.DelaysUsed =
         Opts.Strategy == SearchStrategy::DelayBounded ? N.DelaysUsed : -1;
     R.FaultsUsed = Opts.Faults.enabled() ? N.FaultsUsed : -1;
-    R.Schedule = materializeSchedule(N.TraceIdx);
+    R.Schedule = materializeSchedule(N);
     auto L = lockTimed(BestMu, &W.ContentionNs);
     if (!Best.Found || compareSchedule(R.Schedule, Best.Schedule) < 0)
       Best = std::move(R);
@@ -676,12 +684,12 @@ private:
   }
 
   /// Honest visited-set footprint across every table that deduplicates
-  /// exploration: the allocated slots of the node-dedup, distinct-state
-  /// and terminal tables, plus Exact mode's running map estimate. Slot
-  /// arrays only grow and the map estimate only adds, so the total is
-  /// monotone non-decreasing over a run.
+  /// exploration: the allocated slots of the visited and terminal
+  /// tables, plus Exact mode's running map estimate. Slot arrays only
+  /// grow and the map estimate only adds, so the total is monotone
+  /// non-decreasing over a run.
   uint64_t visitedBytes() const {
-    uint64_t B = Dedup.bytes() + Seen.bytes() + Terminals.bytes();
+    uint64_t B = Visited.bytes() + Terminals.bytes();
     for (const ExactShard &S : Exact)
       B += S.Bytes.load(std::memory_order_relaxed);
     return B;
@@ -765,11 +773,10 @@ private:
   const bool ProfileOn;
   /// Indexed by machine type: declared `symmetric`. Empty unless SymOn.
   std::vector<char> TypeIsSym;
-  /// The visited tables (see run() for each one's growth policy): node
-  /// dedup keys (Fingerprint and Compact modes), distinct-state and
-  /// terminal fingerprints, and Exact mode's byte-keyed dedup map.
-  VisitedTable Dedup;
-  VisitedTable Seen;
+  /// The visited tables (see run() for each one's growth policy): nodes
+  /// and configurations (Exact mode: configurations only), terminal
+  /// configurations, and Exact mode's byte-keyed node map.
+  VisitedTable Visited;
   VisitedTable Terminals;
   std::array<ExactShard, NumShards> Exact;
 
@@ -854,7 +861,8 @@ private:
 /// — and takes the canonical config hash from its config prefix (every
 /// candidate's config part has equal length, so the prefix of the
 /// minimal node bytes is the minimal config serialization). Hashed
-/// modes take the numeric minimum of the candidate hashes; cached
+/// modes take the lexicographically least (config hash, node tag)
+/// pair, so CfgHash is the least candidate config hash; cached
 /// per-machine fingerprints are reused for machines whose refs mask is
 /// disjoint from the permutation's support.
 ParallelSearch::NodeKeys
@@ -907,19 +915,12 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
       keySuffix(N, &W.Perm, [&](int32_t V) {
         K = hashCombine(K, static_cast<uint32_t>(V));
       });
-      if (First) {
+      if (First || Hc < Out.CfgHash || (Hc == Out.CfgHash && K < Out.Key)) {
         Out.CfgHash = Hc;
         Out.Key = K;
+        Out.Identity = First;
         if (SleepOn)
           W.WinPerm = W.Perm;
-      } else {
-        Out.CfgHash = std::min(Out.CfgHash, Hc);
-        if (K < Out.Key) {
-          Out.Key = K;
-          Out.Identity = false;
-          if (SleepOn)
-            W.WinPerm = W.Perm;
-        }
       }
     }
     First = false;
@@ -970,7 +971,7 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
       SchedDecision D;
       D.K = SchedDecision::Kind::Crash;
       D.Machine = Id;
-      C.TraceIdx = addTrace(W, C.TraceIdx, D);
+      C.Pending = packDecision(D);
       FaultsInjected.fetch_add(1, std::memory_order_relaxed);
       if (ProfileOn) { // The fault acted on Id: its type gets the node.
         C.ByType = M.MachineIndex;
@@ -1016,7 +1017,7 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
                           M.Queue[Q].first);
         if (SleepOn) // The queue fault touches Id's state.
           wakeSleepers(C.Sleep, idBit(Id));
-        C.TraceIdx = addTrace(W, C.TraceIdx, D);
+        C.Pending = packDecision(D);
         FaultsInjected.fetch_add(1, std::memory_order_relaxed);
         if (ProfileOn) {
           C.ByType = M.MachineIndex;
@@ -1074,7 +1075,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
   SchedDecision RunDecision;
   RunDecision.K = SchedDecision::Kind::Run;
   RunDecision.Machine = Id;
-  N.TraceIdx = addTrace(W, N.TraceIdx, RunDecision);
+  N.Pending = packDecision(RunDecision);
 
   switch (R.Outcome) {
   case Executor::StepOutcome::Error: {
@@ -1086,15 +1087,16 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
   }
   case Executor::StepOutcome::ChoicePoint: {
     // Branch on the `*`: two children, the same machine resumes.
+    commitTrace(W, N);
     N.MustRun = Id;
     SchedDecision ChooseTrue, ChooseFalse;
     ChooseTrue.K = ChooseFalse.K = SchedDecision::Kind::Choose;
     ChooseTrue.Choice = true;
     Node TrueChild = N; // copy: O(#machines) snapshot pointer bumps
     TrueChild.Cfg.mutableMachine(Id).InjectedChoice = true;
-    TrueChild.TraceIdx = addTrace(W, TrueChild.TraceIdx, ChooseTrue);
+    TrueChild.Pending = packDecision(ChooseTrue);
     N.Cfg.mutableMachine(Id).InjectedChoice = false;
-    N.TraceIdx = addTrace(W, N.TraceIdx, ChooseFalse);
+    N.Pending = packDecision(ChooseFalse);
     pushNode(W, std::move(TrueChild));
     pushNode(W, std::move(N));
     return;
@@ -1125,6 +1127,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
     // Stopped at a foreign call (fault points on): branch on whether
     // the environment fails it, like a `*` choice, except the failing
     // branch costs one fault. The same machine resumes either way.
+    commitTrace(W, N);
     N.MustRun = Id;
     if (Opts.Faults.FailForeign && N.FaultsUsed < Opts.Faults.Budget) {
       Node FailChild = N; // copy: O(#machines) snapshot pointer bumps
@@ -1134,7 +1137,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
       FailDecision.K = SchedDecision::Kind::ForeignFault;
       FailDecision.Machine = Id;
       FailDecision.Choice = true;
-      FailChild.TraceIdx = addTrace(W, FailChild.TraceIdx, FailDecision);
+      FailChild.Pending = packDecision(FailDecision);
       FaultsInjected.fetch_add(1, std::memory_order_relaxed);
       if (ProfileOn)
         W.Prof.FaultKinds[3] += 1;
@@ -1145,7 +1148,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
     OkDecision.K = SchedDecision::Kind::ForeignFault;
     OkDecision.Machine = Id;
     OkDecision.Choice = false;
-    N.TraceIdx = addTrace(W, N.TraceIdx, OkDecision);
+    N.Pending = packDecision(OkDecision);
     pushNode(W, std::move(N));
     return;
   }
@@ -1235,7 +1238,7 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
     SchedDecision DelayDecision;
     DelayDecision.K = SchedDecision::Kind::Delay;
     DelayDecision.Machine = Moved;
-    Delayed.TraceIdx = addTrace(W, Delayed.TraceIdx, DelayDecision);
+    Delayed.Pending = packDecision(DelayDecision);
     if (W.Trace)
       W.Trace->record(obs::TraceKind::Delay, Moved);
     return Delayed;
@@ -1480,6 +1483,8 @@ ParallelSearch::renderTrace(const std::vector<SchedDecision> &Schedule) {
       break;
     }
   Config Cfg = RExec.makeInitialConfig();
+  Cfg.MaxQueue = Opts.MaxQueue;
+  Cfg.Overflow = Opts.Overflow;
   Lines.push_back("initial: create " + RExec.describeMachine(Cfg, 0));
   int32_t LastRun = -1;
   auto EventName = [&](int32_t E) {
@@ -1532,7 +1537,8 @@ ParallelSearch::renderTrace(const std::vector<SchedDecision> &Schedule) {
       LastRun = D.Machine;
       std::string Desc = "run " + RExec.describeMachine(Cfg, D.Machine);
       Executor::StepResult R = RExec.step(Cfg, D.Machine);
-      switch (R.Outcome) {
+      // An enqueue-time error ends its slice at a scheduling point.
+      switch (Cfg.hasError() ? Executor::StepOutcome::Error : R.Outcome) {
       case Executor::StepOutcome::Error:
         Lines.push_back(Desc + " -> error: " + Cfg.ErrorMessage);
         break;
@@ -1579,7 +1585,7 @@ ckpt::FrontierNode ParallelSearch::toFrontierNode(const Node &N) {
     F.Sleep.emplace_back(E.Id, E.Fp);
   // Decisions from the root, so the node survives outside this
   // process's trace arenas.
-  F.Schedule = materializeSchedule(N.TraceIdx);
+  F.Schedule = materializeSchedule(N);
   return F;
 }
 
@@ -1597,11 +1603,12 @@ Node ParallelSearch::fromFrontierNode(Worker &W, ckpt::FrontierNode &&F) {
   for (const auto &[Id, Fp] : F.Sleep)
     N.Sleep.push_back({Id, Fp});
   // Rebuild the decision chain in W's arena so a counterexample found
-  // below this node still materializes a complete schedule.
-  uint64_t Ref = NoTraceRef;
-  for (const SchedDecision &D : F.Schedule)
-    Ref = addTrace(W, Ref, D);
-  N.TraceIdx = Ref;
+  // below this node still materializes a complete schedule; the last
+  // decision stays pending, as it was when the node was captured.
+  for (const SchedDecision &D : F.Schedule) {
+    commitTrace(W, N);
+    N.Pending = packDecision(D);
+  }
   return N;
 }
 
@@ -1691,9 +1698,7 @@ bool ParallelSearch::captureCheckpoint(ckpt::CheckpointData &D) {
                          std::chrono::steady_clock::now() - StartTime)
                          .count();
 
-  if (Mode != VisitedMode::Exact)
-    Dedup.exportImage(D.DedupImage);
-  Seen.exportImage(D.SeenImage);
+  Visited.exportImage(D.TableImage);
   Terminals.exportImage(D.TerminalImage);
   for (ExactShard &S : Exact) {
     std::lock_guard<std::mutex> L(S.Mu);
@@ -1814,7 +1819,7 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
   // Visited tables: the hashed ones restore positionally; Exact's map
   // re-shards by the same key hash the engine uses (byte accounting
   // mirrors the insert-time formula).
-  if (!Dedup.importImage(D.DedupImage) || !Seen.importImage(D.SeenImage) ||
+  if (!Visited.importImage(D.TableImage) ||
       !Terminals.importImage(D.TerminalImage)) {
     Why = "checkpoint's visited tables do not match this run's table shape";
     return false;
@@ -1950,17 +1955,13 @@ CheckResult ParallelSearch::run() {
         "p_check_frontier_depth", obs::exponentialBounds(1, 2, 16),
         "Depth of nodes popped from the exploration frontier");
 
-  // Compact mode splits its byte cap between the node-dedup and
-  // distinct-state tables, bounded for the life of the run; every other
-  // table grows. The terminal set always grows, so it stays exact.
-  // (Each half of a Compact cap stays nonzero: cap 0 means growable.)
+  // Compact mode gives its whole byte cap to the visited table, bounded
+  // for the life of the run; otherwise it grows. The terminal set always
+  // grows, so it stays exact.
   uint64_t Cap = 0;
   if (Mode == VisitedMode::Compact)
-    Cap = std::max<uint64_t>(
-        Opts.VisitedCapBytes ? Opts.VisitedCapBytes : 64ull * 1024 * 1024, 2);
-  if (Mode != VisitedMode::Exact)
-    Dedup.init(Cap / 2, SleepOn);
-  Seen.init(Cap - Cap / 2, false);
+    Cap = Opts.VisitedCapBytes ? Opts.VisitedCapBytes : 64ull * 1024 * 1024;
+  Visited.init(Cap, SleepOn && Mode != VisitedMode::Exact);
   Terminals.init(0, false);
 
   NumWorkers = resolveWorkers();

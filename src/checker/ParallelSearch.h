@@ -8,9 +8,10 @@
 /// The exploration engine behind check(): Opts.Workers threads, each
 /// with its own Executor and local DFS stack, sharing
 ///
-///  * lock-striped visited tables (checker/VisitedTable.h) — stripes
-///    keyed by the top bits of the node hash, each slot holding the
-///    (delays, sleep mask) dominance pair, so the "fewer delays
+///  * one lock-striped visited table (checker/VisitedTable.h), probed
+///    once per node — stripes keyed by the top bits of the
+///    configuration hash, each node slot holding its tag and the
+///    (budget, sleep mask) dominance pair, so the "fewer delays
 ///    dominates" pruning rule stays sound under concurrent insertion;
 ///  * a work-stealing frontier — idle workers steal the oldest
 ///    (shallowest) nodes from a victim's deque, keeping breadth
@@ -18,8 +19,9 @@
 ///
 /// Independent of the threading, the hot path builds no bytes outside
 /// Exact mode: the config hash combines cached, streamed per-machine
-/// fingerprints, and the dedup key folds the scheduler stack into it.
-/// Trace entries store only the structured decision; counterexample
+/// fingerprints, and the node tag folds the scheduler stack into it.
+/// Trace entries (16 bytes) store only the packed decision and its
+/// parent, and only for admitted or branching nodes; counterexample
 /// text is rendered lazily by re-executing the schedule.
 ///
 /// Determinism contract (exhausted searches): ErrorFound, Error,

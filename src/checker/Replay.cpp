@@ -12,7 +12,8 @@ using namespace p;
 
 ReplayResult p::replaySchedule(const CompiledProgram &Prog,
                                const std::vector<SchedDecision> &Schedule,
-                               bool UseModelBodies) {
+                               bool UseModelBodies, uint32_t MaxQueue,
+                               OverflowPolicy Overflow) {
   Executor::Options EO;
   EO.UseModelBodies = UseModelBodies;
   // Schedules produced under foreign fault points carry a ForeignFault
@@ -28,6 +29,8 @@ ReplayResult p::replaySchedule(const CompiledProgram &Prog,
 
   ReplayResult Result;
   Result.Final = Exec.makeInitialConfig();
+  Result.Final.MaxQueue = MaxQueue;
+  Result.Final.Overflow = Overflow;
 
   int32_t LastRun = -1;
   for (const SchedDecision &D : Schedule) {
@@ -80,7 +83,10 @@ ReplayResult p::replaySchedule(const CompiledProgram &Prog,
       std::string Desc = "run " + Exec.describeMachine(Result.Final,
                                                        D.Machine);
       Executor::StepResult R = Exec.step(Result.Final, D.Machine);
-      switch (R.Outcome) {
+      // An error raised by an enqueue ends its slice at a plain
+      // scheduling point.
+      switch (Result.Final.hasError() ? Executor::StepOutcome::Error
+                                      : R.Outcome) {
       case Executor::StepOutcome::Error:
         Result.ErrorReached = true;
         Result.Error = Result.Final.Error;

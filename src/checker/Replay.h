@@ -35,11 +35,13 @@ struct ReplayResult {
 };
 
 /// Replays \p Schedule against a fresh initial configuration of
-/// \p Prog. \p UseModelBodies selects the verification build semantics
-/// (must match the options of the producing check() run).
+/// \p Prog. \p UseModelBodies selects the verification build semantics,
+/// and \p MaxQueue and \p Overflow the queue bound (all must match the
+/// options of the producing check() run).
 ReplayResult replaySchedule(const CompiledProgram &Prog,
                             const std::vector<SchedDecision> &Schedule,
-                            bool UseModelBodies = true);
+                            bool UseModelBodies = true, uint32_t MaxQueue = 0,
+                            OverflowPolicy Overflow = OverflowPolicy::Error);
 
 } // namespace p
 

@@ -42,39 +42,59 @@ void VisitedTable::init(uint64_t CapBytes, bool Masks) {
   Bytes.store(NumStripes * PerStripe * slotBytes(), std::memory_order_relaxed);
 }
 
-VisitedTable::Visit VisitedTable::visit(uint64_t Key, int Delays,
+VisitedTable::Visit VisitedTable::probe(uint64_t Cfg, uint64_t Word,
                                         uint64_t Mask,
                                         std::atomic<uint64_t> *WaitNs) {
-  assert(Delays >= 0 && (WithMasks || Mask == 0));
-  Stripe &S = Stripes[stripeOf(Key)];
+  const uint64_t Spent = Word & BudgetMask;
+  Stripe &S = Stripes[stripeOf(Cfg)];
   auto L = lockTimed(S.Mu, WaitNs);
   const uint64_t Cap = S.Slots.size();
   // A growable stripe always has a hole within Cap probes.
   const uint64_t Probes = Growable ? Cap : std::min(ProbeLimit, Cap);
-  uint64_t At = home(Key, Cap);
-  for (uint64_t I = 0; I != Probes; ++I) {
+  bool Known = false;   // Some entry of Cfg is in the run.
+  uint64_t Reuse = Cap; // Its first config-only entry, if any.
+  uint64_t At = home(Cfg, Cap);
+  for (uint64_t I = 0; I != Probes; ++I, At = At + 1 == Cap ? 0 : At + 1) {
     Slot &Sl = S.Slots[At];
-    if (Sl.Delays == EmptySlot) {
-      Sl.Key = Key;
-      Sl.Delays = static_cast<int32_t>(Delays);
+    const uint64_t Field = Sl.Word & BudgetMask;
+    if (Field == EmptySlot) {
+      if (Reuse != Cap)
+        break;
+      Sl = {Cfg, Word};
       if (WithMasks)
         S.Masks[At] = Mask;
       ++S.Used;
       if (Growable && S.Used * MaxLoadDen > Cap * MaxLoadNum)
         grow(S);
-      return Visit::Explore;
+      return Known ? Visit::Explore : Visit::NewConfig;
     }
-    if (Sl.Key == Key) {
-      uint64_t NoMask = 0;
-      return dominatedOrReplace(Sl.Delays, WithMasks ? S.Masks[At] : NoMask,
-                                Delays, Mask)
-                 ? Visit::Dominated
-                 : Visit::Explore;
+    if (Sl.Cfg != Cfg)
+      continue;
+    if (Spent == CfgOnly)
+      return Visit::Dominated; // A note of a known configuration.
+    Known = true;
+    if (Field == CfgOnly) {
+      if (Reuse == Cap)
+        Reuse = At;
+      continue;
     }
-    if (++At == Cap)
-      At = 0;
+    if ((Sl.Word ^ Word) & ~BudgetMask)
+      continue; // Another node of the same configuration.
+    uint64_t NoMask = 0;
+    uint64_t &Stored = WithMasks ? S.Masks[At] : NoMask;
+    if (Field != Saturated && dominates(Field, Stored, Spent, Mask))
+      return Visit::Dominated;
+    Sl.Word = Word;
+    Stored = Mask;
+    return Visit::Explore;
   }
-  return Visit::Full;
+  if (Reuse == Cap)
+    return Visit::Full;
+  // The node takes over its configuration's config-only entry.
+  S.Slots[Reuse].Word = Word;
+  if (WithMasks)
+    S.Masks[Reuse] = Mask;
+  return Visit::Explore;
 }
 
 void VisitedTable::grow(Stripe &S) {
@@ -84,10 +104,10 @@ void VisitedTable::grow(Stripe &S) {
   std::vector<uint64_t> Masks(WithMasks ? Cap : 0, 0);
   for (uint64_t I = 0; I != OldCap; ++I) {
     const Slot &From = S.Slots[I];
-    if (From.Delays == EmptySlot)
+    if ((From.Word & BudgetMask) == EmptySlot)
       continue;
-    uint64_t At = home(From.Key, Cap);
-    while (Slots[At].Delays != EmptySlot)
+    uint64_t At = home(From.Cfg, Cap);
+    while ((Slots[At].Word & BudgetMask) != EmptySlot)
       if (++At == Cap)
         At = 0;
     Slots[At] = From;
@@ -105,10 +125,10 @@ void VisitedTable::exportImage(VisitedImage &Img) const {
   for (const Stripe &S : Stripes) {
     Img.StripeSlots.push_back(S.Slots.size());
     for (size_t I = 0; I != S.Slots.size(); ++I) {
-      Img.Delays.push_back(S.Slots[I].Delays);
-      if (S.Slots[I].Delays == EmptySlot)
+      Img.Words.push_back(S.Slots[I].Word);
+      if ((S.Slots[I].Word & BudgetMask) == EmptySlot)
         continue;
-      Img.Keys.push_back(S.Slots[I].Key);
+      Img.Cfgs.push_back(S.Slots[I].Cfg);
       if (WithMasks)
         Img.Masks.push_back(S.Masks[I]);
     }
@@ -116,40 +136,40 @@ void VisitedTable::exportImage(VisitedImage &Img) const {
 }
 
 bool VisitedTable::importImage(const VisitedImage &Img) {
-  if (Img.StripeSlots.empty() && Img.Delays.empty())
+  if (Img.StripeSlots.empty() && Img.Words.empty())
     return true; // A table the captured run did not use.
   if (Img.StripeSlots.size() != NumStripes ||
-      Img.Masks.size() != (WithMasks ? Img.Keys.size() : 0))
+      Img.Masks.size() != (WithMasks ? Img.Cfgs.size() : 0))
     return false;
-  uint64_t Next = 0, NextKey = 0;
+  uint64_t Next = 0, NextCfg = 0;
   for (unsigned I = 0; I != NumStripes; ++I) {
     Stripe &S = Stripes[I];
     const uint64_t Cap = Img.StripeSlots[I];
     // Bounded stripes must match this cap; growable ones may have any
     // capacity the captured run grew them to.
     if ((Growable ? Cap < InitialStripeSlots : Cap != S.Slots.size()) ||
-        Cap > Img.Delays.size() - Next)
+        Cap > Img.Words.size() - Next)
       return false;
     S.Slots.assign(Cap, Slot{});
     S.Masks.assign(WithMasks ? Cap : 0, 0);
     S.Used = 0;
     for (uint64_t J = 0; J != Cap; ++J) {
-      const int32_t Delays = Img.Delays[Next++];
-      if (Delays == EmptySlot)
+      const uint64_t Word = Img.Words[Next++];
+      if (Word == EmptySlot)
         continue;
-      if (Delays < 0 || NextKey == Img.Keys.size())
+      if ((Word & BudgetMask) == EmptySlot || NextCfg == Img.Cfgs.size())
         return false;
-      S.Slots[J] = {Img.Keys[NextKey], Delays};
+      S.Slots[J] = {Img.Cfgs[NextCfg], Word};
       if (WithMasks)
-        S.Masks[J] = Img.Masks[NextKey];
-      ++NextKey;
+        S.Masks[J] = Img.Masks[NextCfg];
+      ++NextCfg;
       ++S.Used;
     }
     // A growable stripe must keep a hole for every probe to end in.
     if (Growable && S.Used * MaxLoadDen > Cap * MaxLoadNum)
       return false;
   }
-  if (Next != Img.Delays.size() || NextKey != Img.Keys.size())
+  if (Next != Img.Words.size() || NextCfg != Img.Cfgs.size())
     return false;
   Bytes.store(Next * slotBytes(), std::memory_order_relaxed);
   return true;

@@ -5,34 +5,40 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One lock-striped open-addressing table of 64-bit keys serves every
-/// hashed set of the search: the node-dedup table (Fingerprint and
-/// Compact modes), the distinct-state set, and the terminal set.
+/// One lock-striped open-addressing table answers, in one probe, both
+/// questions the search asks of a node: "was it explored under a
+/// dominating budget?" and "is its configuration new?". The terminal
+/// set is a second, always-growable instance used as a plain set.
 ///
-/// Each key lives in one of NumStripes stripes, chosen by its top bits;
-/// a stripe is a flat slot array behind its own mutex, probed linearly,
-/// so one lock is ever held per lookup. A slot stores the key and the
-/// least budget spent when the key was explored (delays in a
-/// delay-bounded search, depth in a depth-bounded one); a sleep-mask
-/// sidecar (one word per slot) exists only when sleep sets are on.
+/// A 16-byte slot holds a full 64-bit configuration hash and one word:
+/// a node tag (the scheduler suffix folded into that hash; its top
+/// TagBits bits) above a budget field (delays spent, or depth in a
+/// depth-bounded search). Stripe and home slot come from the
+/// configuration hash, so all entries of one configuration share one
+/// linear probe run. A config-only entry (quiescent and error
+/// configurations; every state of an Exact-mode run) never dominates. A
+/// budget too large for its field saturates, and a saturated stored
+/// budget never dominates. A sleep-mask sidecar (one word per slot)
+/// exists only when sleep sets are on.
 ///
 /// Two growth policies, picked by the byte cap given to init():
 ///
 ///  * growable (cap 0) — a stripe doubles under its own lock once its
-///    load passes MaxLoadNum/MaxLoadDen. It never saturates, so the set
-///    is exact modulo 64-bit key collisions;
+///    load passes MaxLoadNum/MaxLoadDen. It never saturates;
 ///  * bounded (cap > 0) — SPIN-style hash compaction: the slot arrays
-///    are sized once from the cap and never grow. A key whose probe
-///    window (ProbeLimit slots) is full is reported as Full: the caller
-///    treats it as visited and records that omission became possible.
+///    are sized once from the cap and never grow. A probe whose window
+///    (ProbeLimit slots) is full reports Full and stores nothing; the
+///    caller prunes and records that omission became possible.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef P_CHECKER_VISITEDTABLE_H
 #define P_CHECKER_VISITEDTABLE_H
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -44,10 +50,10 @@ namespace p {
 std::unique_lock<std::mutex> lockTimed(std::mutex &Mu,
                                        std::atomic<uint64_t> *WaitNs);
 
-/// The one dominance rule of the visited set. A key was explored under
+/// The one dominance rule of the visited set. A node was explored under
 /// the stored pair (budget spent, sleep mask) — the budget is delays in
 /// a delay-bounded search and depth in a depth-bounded one; a later
-/// visit under (\p Delays, \p Mask) is dominated — and pruned — when
+/// visit under (\p Budget, \p Mask) is dominated — and pruned — when
 /// the stored exploration spent no more budget AND slept on a subset of
 /// the machines: it expanded every child the later visit could, each
 /// with at least as much budget left. Otherwise the visit explores and
@@ -55,23 +61,19 @@ std::unique_lock<std::mutex> lockTimed(std::mutex &Mu,
 /// new pair also describes a real exploration; at worst an incomparable
 /// earlier pair is forgotten and some work repeats. With sleep sets off
 /// every mask is 0 and the rule is plain min-budget.
-inline bool dominatedOrReplace(int32_t &StoredDelays, uint64_t &StoredMask,
-                               int Delays, uint64_t Mask) {
-  if (StoredDelays <= Delays && (StoredMask & ~Mask) == 0)
-    return true;
-  StoredDelays = static_cast<int32_t>(Delays);
-  StoredMask = Mask;
-  return false;
+inline bool dominates(uint64_t StoredBudget, uint64_t StoredMask,
+                      uint64_t Budget, uint64_t Mask) {
+  return StoredBudget <= Budget && (StoredMask & ~Mask) == 0;
 }
 
 /// A VisitedTable as plain data, for checkpoints. The slots are stored
 /// stripe by stripe and positionally (a key's slot depends on its
 /// stripe's capacity), so a restored table probes exactly like the
-/// captured one. Holes cost only their Delays entry.
+/// captured one. Holes cost only their Words entry.
 struct VisitedImage {
   std::vector<uint64_t> StripeSlots; ///< Capacity of each stripe.
-  std::vector<int32_t> Delays; ///< Every slot; EmptySlot marks a hole.
-  std::vector<uint64_t> Keys;  ///< Occupied slots only, in slot order.
+  std::vector<uint64_t> Words; ///< Every slot's tag|budget; holes too.
+  std::vector<uint64_t> Cfgs;  ///< Occupied slots only, in slot order.
   std::vector<uint64_t> Masks; ///< Likewise; empty without the sidecar.
 };
 
@@ -85,9 +87,15 @@ public:
   static constexpr uint64_t MaxLoadNum = 3, MaxLoadDen = 4;
   /// Probe window of a bounded table.
   static constexpr uint64_t ProbeLimit = 128;
-  /// Delays value of an unused slot (real entries spend >= 0 delays,
-  /// so every 64-bit key, 0 included, is storable).
-  static constexpr int32_t EmptySlot = -1;
+  /// Split of a slot's second word: the node tag's top TagBits bits
+  /// above a BudgetBits-bit budget field. The three largest field
+  /// values are markers, not budgets.
+  static constexpr unsigned BudgetBits = 20, TagBits = 64 - BudgetBits;
+  static_assert(TagBits >= 40, "shorter tags make wrong prunes likely");
+  static constexpr uint64_t BudgetMask = (uint64_t(1) << BudgetBits) - 1;
+  static constexpr uint64_t Saturated = BudgetMask - 2; ///< Never dominates.
+  static constexpr uint64_t CfgOnly = BudgetMask - 1;   ///< No node.
+  static constexpr uint64_t EmptySlot = BudgetMask;     ///< A hole.
 
   /// Allocates the slot arrays: growable when \p CapBytes is 0,
   /// otherwise bounded to the whole slots that fit in \p CapBytes (at
@@ -95,22 +103,29 @@ public:
   /// against the cap). \p WithMasks adds the sleep-mask sidecar.
   void init(uint64_t CapBytes, bool WithMasks);
 
-  /// Outcome of visit().
+  /// Outcome of visit() and note().
   enum class Visit : uint8_t {
-    Explore,   ///< New key, or a visit the stored pair does not dominate.
-    Dominated, ///< Seen before under a dominating pair.
-    Full,      ///< Bounded table, probe window full: not stored.
+    NewConfig, ///< Stored; no entry of the configuration existed.
+    Explore,   ///< Stored or replaced; the configuration was known.
+    Dominated, ///< visit(): a stored pair dominates; note(): known.
+    Full,      ///< Bounded table, probe window full: nothing stored.
   };
 
-  /// Check-and-insert under the dominance rule (see dominatedOrReplace).
-  /// \p Mask must be 0 unless the table has the sidecar. Stripe waits
-  /// are charged to \p WaitNs.
-  Visit visit(uint64_t Key, int Delays, uint64_t Mask,
-              std::atomic<uint64_t> *WaitNs = nullptr);
+  /// Visits node (\p Cfg, \p Tag) under (\p Budget, \p Mask) with the
+  /// rule of dominates(). \p Mask must be 0 without the sidecar.
+  /// Stripe waits are charged to \p WaitNs.
+  Visit visit(uint64_t Cfg, uint64_t Tag, int Budget, uint64_t Mask,
+              std::atomic<uint64_t> *WaitNs = nullptr) {
+    assert(Budget >= 0 && (WithMasks || Mask == 0));
+    const uint64_t Spent = std::min<uint64_t>(Budget, Saturated);
+    return probe(Cfg, (Tag & ~BudgetMask) | Spent, Mask, WaitNs);
+  }
 
-  /// Set insertion: Explore when \p Key is new.
-  Visit insert(uint64_t Key, std::atomic<uint64_t> *WaitNs = nullptr) {
-    return visit(Key, 0, 0, WaitNs);
+  /// Notes configuration \p Cfg without a node: NewConfig when no entry
+  /// of it existed (a config-only entry is stored), Dominated when one
+  /// did. The terminal set uses it as plain set insertion.
+  Visit note(uint64_t Cfg, std::atomic<uint64_t> *WaitNs = nullptr) {
+    return probe(Cfg, CfgOnly, 0, WaitNs);
   }
 
   /// Allocated slot bytes. Only grows, so it is monotone over a run;
@@ -126,8 +141,8 @@ public:
 
 private:
   struct Slot {
-    uint64_t Key = 0;
-    int32_t Delays = EmptySlot;
+    uint64_t Cfg = 0;
+    uint64_t Word = EmptySlot; ///< Tag bits | budget field.
   };
   struct alignas(64) Stripe { // Own cache line per lock.
     std::mutex Mu;
@@ -136,17 +151,22 @@ private:
     uint64_t Used = 0;           ///< Occupied slots; guarded by Mu.
   };
 
-  static unsigned stripeOf(uint64_t Key) {
-    return static_cast<unsigned>(Key >> (64 - StripeBits));
+  static unsigned stripeOf(uint64_t Cfg) {
+    return static_cast<unsigned>(Cfg >> (64 - StripeBits));
   }
-  /// Home slot inside a stripe, from the low bits (the stripe index
-  /// already consumed the high bits).
-  static uint64_t home(uint64_t Key, uint64_t Cap) {
-    return (Key * 0x2545f4914f6cdd1dULL) % Cap;
+  /// Home slot inside a stripe: multiply-high range reduction of the
+  /// bits below the stripe index.
+  static uint64_t home(uint64_t Cfg, uint64_t Cap) {
+    return static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(Cfg << StripeBits) * Cap) >> 64);
   }
   uint64_t slotBytes() const {
     return sizeof(Slot) + (WithMasks ? sizeof(uint64_t) : 0);
   }
+  /// The one probe behind visit() and note(): \p Word is a node's
+  /// tag|budget, or CfgOnly for a note.
+  Visit probe(uint64_t Cfg, uint64_t Word, uint64_t Mask,
+              std::atomic<uint64_t> *WaitNs);
   void grow(Stripe &S);
 
   bool Growable = true;

@@ -155,9 +155,47 @@ TEST(Checkpoint, KillAndResumeAcrossVisitedModes) {
                 "german2 d=1 mode=fingerprint", 1, &Cut);
   VisitedTable Fresh;
   Fresh.init(0, false);
-  // Three tables (dedup, distinct states, terminals) start this size.
-  EXPECT_GT(Cut.VisitedBytes, 3 * Fresh.bytes())
+  // Two tables (visited, terminals) start this size.
+  EXPECT_GT(Cut.VisitedBytes, 2 * Fresh.bytes())
       << "no stripe grew before the cut";
+}
+
+TEST(Checkpoint, CutAndResumeKeepTheLexLeastCounterexample) {
+  // Every frontier node carries the decision that made it uncommitted;
+  // the checkpoint must keep it, so a resumed search reports exactly
+  // the counterexample of the uninterrupted one, wherever the cut falls.
+  CompiledProgram Prog =
+      compile(corpus::german(2, corpus::GermanBug::SkipOwnerInvalidation));
+  const CheckOptions Base =
+      baseOpts(1, VisitedMode::Fingerprint, Reduction::Off, 1);
+  const CheckResult Full = check(Prog, Base);
+  ASSERT_TRUE(Full.ErrorFound);
+  ASSERT_TRUE(Full.Stats.Exhausted);
+  auto Packed = [](const CheckResult &R) {
+    std::vector<uint64_t> Words;
+    for (const SchedDecision &D : R.Schedule)
+      Words.push_back(packDecision(D));
+    return Words;
+  };
+  for (uint64_t Eighths : {1, 4, 7}) {
+    const std::string What = "cut at " + std::to_string(Eighths) + "/8";
+    TempCkpt C("lex" + std::to_string(Eighths));
+    CheckOptions Cut = Base;
+    Cut.MaxNodes = Full.Stats.NodesExplored * Eighths / 8;
+    Cut.CheckpointPath = C.Path;
+    ASSERT_FALSE(check(Prog, Cut).Stats.Exhausted) << What;
+
+    CheckOptions Res = Base;
+    Res.CheckpointPath = C.Path;
+    Res.Resume = true;
+    const CheckResult Resumed = check(Prog, Res);
+    ASSERT_TRUE(Resumed.ResumeError.empty()) << What;
+    ASSERT_TRUE(Resumed.ErrorFound) << What;
+    EXPECT_EQ(Packed(Resumed), Packed(Full)) << What;
+    EXPECT_EQ(Resumed.Trace, Full.Trace) << What;
+    EXPECT_EQ(Resumed.Stats.DistinctStates, Full.Stats.DistinctStates)
+        << What;
+  }
 }
 
 TEST(Checkpoint, KillAndResumeUnderReductions) {
@@ -329,10 +367,11 @@ TEST(CheckpointCorruption, StaleFormatVersionIsRejected) {
   // file from an older build (version 1 stored per-entry hashed lists,
   // not table images; version 2 stored no depths for depth-bounded
   // runs; version 3 keys were hashed from the serialized bytes, not
-  // streamed) or a newer one: the load must fail on the version, not
+  // streamed; version 4 stored separate node-dedup and distinct-state
+  // images) or a newer one: the load must fail on the version, not
   // misparse the payload.
-  ASSERT_GT(ckpt::FormatVersion, 3u);
-  for (uint32_t Forged : {1u, 2u, 3u, ckpt::FormatVersion + 7}) {
+  ASSERT_GT(ckpt::FormatVersion, 4u);
+  for (uint32_t Forged : {1u, 2u, 3u, 4u, ckpt::FormatVersion + 7}) {
     for (int I = 0; I != 4; ++I)
       Bytes[8 + I] = static_cast<char>((Forged >> (8 * I)) & 0xff);
     const uint32_t Crc = ckpt::crc32(Bytes.data(), Bytes.size() - 4);

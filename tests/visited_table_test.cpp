@@ -4,11 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// VisitedTable (checker/VisitedTable.h) against a std::unordered_map
-// reference that applies the same dominance rule: random keys across
-// many doublings (key 0 included), (delays, mask) replacement surviving
-// a grow, the bounded policy's fixed footprint and saturation, image
-// round trips under both policies, and concurrent insertion.
+// VisitedTable (checker/VisitedTable.h) against a reference model: a
+// map from (configuration, tag) to (budget, mask) applying the same
+// dominance rule, plus a set of configurations. Covers random node
+// visits and config-only notes across many doublings (configuration 0
+// included), (budget, mask) replacement surviving a grow, saturated
+// budgets that never dominate, the bounded policy's fixed footprint and
+// Full windows (which store and count nothing), image round trips after
+// stripes grew, and concurrent visits that report each configuration
+// new exactly once.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,11 +20,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <random>
+#include <set>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,25 +36,40 @@ using namespace p;
 namespace {
 
 using Visit = VisitedTable::Visit;
+constexpr uint64_t TagMask = ~VisitedTable::BudgetMask;
+constexpr uint64_t Saturated = VisitedTable::Saturated;
 
-/// The reference: a plain map applying dominatedOrReplace.
+/// The reference model of one table.
 struct Reference {
-  std::unordered_map<uint64_t, std::pair<int32_t, uint64_t>> Map;
+  /// (configuration, stored tag bits) -> (stored budget, mask).
+  std::map<std::pair<uint64_t, uint64_t>, std::pair<uint64_t, uint64_t>>
+      Nodes;
+  std::set<uint64_t> Cfgs;
 
-  Visit visit(uint64_t Key, int Delays, uint64_t Mask) {
-    auto [It, Inserted] = Map.try_emplace(Key, Delays, Mask);
+  Visit visit(uint64_t Cfg, uint64_t Tag, int Budget, uint64_t Mask) {
+    const uint64_t Spent = std::min<uint64_t>(Budget, Saturated);
+    const bool Known = !Cfgs.insert(Cfg).second;
+    auto [It, Inserted] =
+        Nodes.try_emplace({Cfg, Tag & TagMask}, Spent, Mask);
     if (Inserted)
-      return Visit::Explore;
-    return dominatedOrReplace(It->second.first, It->second.second, Delays,
-                              Mask)
-               ? Visit::Dominated
-               : Visit::Explore;
+      return Known ? Visit::Explore : Visit::NewConfig;
+    auto &[StoredBudget, StoredMask] = It->second;
+    if (StoredBudget != Saturated && StoredBudget <= Spent &&
+        (StoredMask & ~Mask) == 0)
+      return Visit::Dominated;
+    StoredBudget = Spent;
+    StoredMask = Mask;
+    return Visit::Explore;
+  }
+
+  Visit note(uint64_t Cfg) {
+    return Cfgs.insert(Cfg).second ? Visit::NewConfig : Visit::Dominated;
   }
 };
 
-/// Keys drawn from a small pool so most visits are revisits; key 0 and
-/// the all-ones key (stripe 63) are always in the pool.
-std::vector<uint64_t> keyPool(size_t N, uint64_t Seed) {
+/// Configurations drawn from a small pool so most visits are revisits;
+/// configuration 0 and the all-ones one (stripe 63) are always in it.
+std::vector<uint64_t> cfgPool(size_t N, uint64_t Seed) {
   std::mt19937_64 Rng(Seed);
   std::vector<uint64_t> Pool{0, ~0ull};
   while (Pool.size() != N)
@@ -55,71 +77,118 @@ std::vector<uint64_t> keyPool(size_t N, uint64_t Seed) {
   return Pool;
 }
 
-/// Drives \p T and a reference with the same random visits and expects
-/// identical outcomes throughout.
+/// Drives \p T and a reference with the same random node visits and
+/// config-only notes (about one in five) and expects identical outcomes
+/// throughout. Each configuration has up to four node tags; tag 0 and
+/// tags differing only below the tag bits are in the mix.
 void differential(VisitedTable &T, bool Masks, size_t PoolSize,
-                  size_t Visits, uint64_t Seed) {
-  std::vector<uint64_t> Pool = keyPool(PoolSize, Seed);
+                  size_t Steps, uint64_t Seed) {
+  const std::vector<uint64_t> Pool = cfgPool(PoolSize, Seed);
+  const uint64_t Tags[] = {0, 0x9e3779b97f4a7c15ULL, ~0ull,
+                           0x9e3779b97f4a7c15ULL ^ 1};
   std::mt19937_64 Rng(Seed + 1);
   Reference Ref;
-  for (size_t I = 0; I != Visits; ++I) {
-    const uint64_t Key = Pool[Rng() % Pool.size()];
-    const int Delays = static_cast<int>(Rng() % 6);
+  for (size_t I = 0; I != Steps; ++I) {
+    const uint64_t Cfg = Pool[Rng() % Pool.size()];
+    if (Rng() % 5 == 0) {
+      ASSERT_EQ(T.note(Cfg), Ref.note(Cfg)) << "note " << I;
+      continue;
+    }
+    const uint64_t Tag = Tags[Rng() % 4] ^ (Cfg << 20);
+    const int Budget = static_cast<int>(Rng() % 6);
     const uint64_t Mask = Masks ? Rng() & 0xf : 0;
-    ASSERT_EQ(T.visit(Key, Delays, Mask), Ref.visit(Key, Delays, Mask))
-        << "visit " << I << " key " << Key;
+    ASSERT_EQ(T.visit(Cfg, Tag, Budget, Mask),
+              Ref.visit(Cfg, Tag, Budget, Mask))
+        << "visit " << I << " cfg " << Cfg;
   }
-  // Every stored pair is still there: re-visiting under it is dominated.
-  for (const auto &[Key, Pair] : Ref.Map)
-    EXPECT_EQ(T.visit(Key, Pair.first, Pair.second), Visit::Dominated) << Key;
+  // Every stored pair is still there: re-visiting under it is
+  // dominated, and every noted configuration is known.
+  for (const auto &[Node, Pair] : Ref.Nodes)
+    EXPECT_EQ(T.visit(Node.first, Node.second, Pair.first, Pair.second),
+              Visit::Dominated)
+        << Node.first;
+  for (uint64_t Cfg : Ref.Cfgs)
+    EXPECT_EQ(T.note(Cfg), Visit::Dominated) << Cfg;
 }
 
 TEST(VisitedTable, GrowableMatchesReferenceAcrossDoublings) {
   VisitedTable T;
   T.init(0, false);
   const uint64_t Initial = T.bytes();
-  // ~3000 keys per stripe: each stripe doubles from 64 slots about six
-  // times.
-  differential(T, false, 200000, 600000, 7);
-  EXPECT_GE(T.bytes(), Initial * 32);
+  // ~2000 configurations per stripe with up to four nodes each: every
+  // stripe doubles from 64 slots about seven times.
+  differential(T, false, 120000, 600000, 7);
+  EXPECT_GE(T.bytes(), Initial * 64);
 }
 
 TEST(VisitedTable, GrowableWithMasksMatchesReference) {
   VisitedTable T;
   T.init(0, true);
-  differential(T, true, 50000, 300000, 11);
+  differential(T, true, 30000, 300000, 11);
 }
 
 TEST(VisitedTable, KeyZeroIsAnOrdinaryKey) {
   VisitedTable T;
   T.init(0, false);
-  EXPECT_EQ(T.insert(0), Visit::Explore);
-  EXPECT_EQ(T.insert(0), Visit::Dominated);
-  // Empty slots are marked in the delays field, so no real key stands
-  // in for 0 and collides with it.
-  EXPECT_EQ(T.insert(0x9e3779b97f4a7c15ULL), Visit::Explore);
+  EXPECT_EQ(T.note(0), Visit::NewConfig);
+  EXPECT_EQ(T.note(0), Visit::Dominated);
+  // The node takes over the config-only entry; it is not a new state.
+  EXPECT_EQ(T.visit(0, 0, 0, 0), Visit::Explore);
+  EXPECT_EQ(T.visit(0, 0, 0, 0), Visit::Dominated);
+  EXPECT_EQ(T.visit(0, ~0ull, 0, 0), Visit::Explore); // Another node.
+  // Holes are marked in the budget field, so no real entry stands in
+  // for configuration 0 and collides with it.
+  EXPECT_EQ(T.visit(0x9e3779b97f4a7c15ULL, 0, 0, 0), Visit::NewConfig);
 }
 
 TEST(VisitedTable, DelaysAndMaskReplacementSurviveGrow) {
   VisitedTable T;
   T.init(0, true);
-  const uint64_t Key = 0x0123456789abcdefULL;
-  ASSERT_EQ(T.visit(Key, 3, 0b10), Visit::Explore);
-  ASSERT_EQ(T.visit(Key, 2, 0b01), Visit::Explore); // Replaces (3, 0b10).
+  const uint64_t Cfg = 0x0123456789abcdefULL, Tag = 0xfedcba9876543210ULL;
+  ASSERT_EQ(T.visit(Cfg, Tag, 3, 0b10), Visit::NewConfig);
+  ASSERT_EQ(T.visit(Cfg, Tag, 2, 0b01), Visit::Explore); // Replaces.
 
-  // Fill Key's stripe (same top bits) far past one doubling.
+  // Fill Cfg's stripe (same top bits) far past one doubling, and give
+  // Cfg more nodes of its own.
   const uint64_t Before = T.bytes();
-  for (uint64_t I = 1; I <= 1000; ++I)
-    ASSERT_EQ(T.insert((Key & ~0xffffffffULL) | I), Visit::Explore);
+  for (uint64_t I = 1; I <= 1000; ++I) {
+    ASSERT_EQ(T.note((Cfg & ~0xffffffffULL) | I), Visit::NewConfig);
+    ASSERT_EQ(T.visit(Cfg, Tag + (I << 32), 0, 0), Visit::Explore);
+  }
   ASSERT_GT(T.bytes(), Before);
 
-  EXPECT_EQ(T.visit(Key, 2, 0b01), Visit::Dominated);
-  EXPECT_EQ(T.visit(Key, 4, 0b11), Visit::Dominated); // Superset mask.
-  EXPECT_EQ(T.visit(Key, 3, 0b10), Visit::Explore);   // Mask not covered.
+  EXPECT_EQ(T.visit(Cfg, Tag, 2, 0b01), Visit::Dominated);
+  EXPECT_EQ(T.visit(Cfg, Tag, 4, 0b11), Visit::Dominated); // Superset.
+  EXPECT_EQ(T.visit(Cfg, Tag, 3, 0b10), Visit::Explore); // Not covered.
   // (3, 0b10) replaced (2, 0b01): the forgotten pair no longer prunes.
-  EXPECT_EQ(T.visit(Key, 2, 0b01), Visit::Explore);
-  EXPECT_EQ(T.visit(Key, 1, 0b01), Visit::Explore); // Fewer delays.
-  EXPECT_EQ(T.visit(Key, 1, 0b01), Visit::Dominated);
+  EXPECT_EQ(T.visit(Cfg, Tag, 2, 0b01), Visit::Explore);
+  EXPECT_EQ(T.visit(Cfg, Tag, 1, 0b01), Visit::Explore); // Fewer delays.
+  EXPECT_EQ(T.visit(Cfg, Tag, 1, 0b01), Visit::Dominated);
+  // Only the tag bits above the budget field name the node.
+  EXPECT_EQ(T.visit(Cfg, Tag ^ VisitedTable::BudgetMask, 1, 0b01),
+            Visit::Dominated);
+}
+
+TEST(VisitedTable, SaturatedBudgetsNeverDominate) {
+  for (bool Growable : {true, false}) {
+    VisitedTable T;
+    T.init(Growable ? 0 : 1 << 20, false);
+    const int Huge = std::numeric_limits<int>::max();
+    const int Big = static_cast<int>(Saturated) + 5;
+    EXPECT_EQ(T.visit(1, 2, Big, 0), Visit::NewConfig);
+    EXPECT_EQ(T.visit(1, 2, Big, 0), Visit::Explore);
+    EXPECT_EQ(T.visit(1, 2, Huge, 0), Visit::Explore);
+    EXPECT_EQ(T.visit(1, 2, static_cast<int>(Saturated), 0),
+              Visit::Explore);
+    // A real budget replaces it and dominates every larger one.
+    EXPECT_EQ(T.visit(1, 2, 3, 0), Visit::Explore);
+    EXPECT_EQ(T.visit(1, 2, Huge, 0), Visit::Dominated);
+    // The largest budget the field holds still dominates itself.
+    const int Largest = static_cast<int>(Saturated) - 1;
+    EXPECT_EQ(T.visit(5, 6, Largest, 0), Visit::NewConfig);
+    EXPECT_EQ(T.visit(5, 6, Largest, 0), Visit::Dominated);
+    EXPECT_EQ(T.visit(5, 6, Largest + 1, 0), Visit::Dominated);
+  }
 }
 
 TEST(VisitedTable, BoundedNeverGrowsAndReportsSaturation) {
@@ -129,30 +198,42 @@ TEST(VisitedTable, BoundedNeverGrowsAndReportsSaturation) {
   const uint64_t Cap = T.bytes();
   const uint64_t Slots = VisitedTable::NumStripes *
                          VisitedTable::InitialStripeSlots;
-  EXPECT_GE(Cap, Slots * (sizeof(uint64_t) + sizeof(int32_t)));
+  EXPECT_EQ(Cap, Slots * 2 * sizeof(uint64_t));
 
   std::mt19937_64 Rng(3);
-  std::vector<uint64_t> Stored;
+  std::vector<std::pair<uint64_t, bool>> Stored; // (config, noted).
   uint64_t Full = 0;
   for (uint64_t I = 0; I != 4 * Slots; ++I) {
-    const uint64_t Key = Rng();
-    switch (T.insert(Key)) {
-    case Visit::Explore:
-      Stored.push_back(Key);
+    const uint64_t Cfg = Rng();
+    // Alternate nodes and config-only notes; both fill slots.
+    switch (I % 2 ? T.note(Cfg) : T.visit(Cfg, Rng(), 1, 0)) {
+    case Visit::NewConfig:
+      Stored.push_back({Cfg, I % 2 != 0});
       break;
     case Visit::Full:
       ++Full;
       break;
-    case Visit::Dominated:
-      ADD_FAILURE() << "fresh random key reported as seen";
+    default:
+      ADD_FAILURE() << "fresh random configuration reported as known";
       break;
     }
     ASSERT_EQ(T.bytes(), Cap) << "a bounded table grew";
   }
   EXPECT_EQ(Stored.size(), Slots); // Every slot filled, then saturation.
   EXPECT_EQ(Full, 4 * Slots - Slots);
-  for (uint64_t Key : Stored)
-    EXPECT_EQ(T.insert(Key), Visit::Dominated);
+
+  // A saturated table still knows what it stored. A new node of a
+  // stored configuration finds no room: Full, not a new state. A node
+  // may take over its configuration's config-only entry, once.
+  for (const auto &[Cfg, Noted] : Stored) {
+    EXPECT_EQ(T.note(Cfg), Visit::Dominated);
+    const uint64_t Tag = 0x5555ull << 40;
+    EXPECT_EQ(T.visit(Cfg, Tag, 1, 0), Noted ? Visit::Explore : Visit::Full);
+    EXPECT_EQ(T.visit(Cfg, Tag, 1, 0),
+              Noted ? Visit::Dominated : Visit::Full);
+  }
+  EXPECT_EQ(T.note(Rng()), Visit::Full);
+  EXPECT_EQ(T.visit(Rng(), 0, 0, 0), Visit::Full);
 }
 
 TEST(VisitedTable, ImageRoundTripsUnderBothPolicies) {
@@ -162,11 +243,20 @@ TEST(VisitedTable, ImageRoundTripsUnderBothPolicies) {
                                       << " masks=" << Masks);
       VisitedTable A;
       A.init(CapBytes, Masks);
-      std::vector<uint64_t> Pool = keyPool(20000, 5);
+      const uint64_t Initial = A.bytes();
+      std::vector<uint64_t> Pool = cfgPool(20000, 5);
       std::mt19937_64 Rng(6);
-      for (int I = 0; I != 60000; ++I)
-        A.visit(Pool[Rng() % Pool.size()], static_cast<int>(Rng() % 4),
-                Masks ? Rng() & 3 : 0);
+      for (int I = 0; I != 60000; ++I) {
+        const uint64_t Cfg = Pool[Rng() % Pool.size()];
+        if (I % 4 == 0)
+          A.note(Cfg);
+        else
+          A.visit(Cfg, Rng() % 3 << 32, static_cast<int>(Rng() % 4),
+                  Masks ? Rng() & 3 : 0);
+      }
+      if (!CapBytes) { // The stripes grew before the capture.
+        ASSERT_GT(A.bytes(), 8 * Initial);
+      }
 
       VisitedImage Img;
       A.exportImage(Img);
@@ -177,16 +267,22 @@ TEST(VisitedTable, ImageRoundTripsUnderBothPolicies) {
       VisitedImage Again;
       B.exportImage(Again);
       EXPECT_EQ(Again.StripeSlots, Img.StripeSlots);
-      EXPECT_EQ(Again.Keys, Img.Keys);
-      EXPECT_EQ(Again.Delays, Img.Delays);
+      EXPECT_EQ(Again.Words, Img.Words);
+      EXPECT_EQ(Again.Cfgs, Img.Cfgs);
       EXPECT_EQ(Again.Masks, Img.Masks);
 
-      // Both tables now answer every visit alike, new keys included.
+      // Both tables now answer alike, new configurations included.
       for (int I = 0; I != 20000; ++I) {
-        const uint64_t Key = (I & 1) ? Pool[Rng() % Pool.size()] : Rng();
-        const int Delays = static_cast<int>(Rng() % 4);
+        const uint64_t Cfg = (I & 1) ? Pool[Rng() % Pool.size()] : Rng();
+        if (I % 3 == 0) {
+          ASSERT_EQ(A.note(Cfg), B.note(Cfg));
+          continue;
+        }
+        const uint64_t Tag = Rng() % 3 << 32;
+        const int Budget = static_cast<int>(Rng() % 4);
         const uint64_t Mask = Masks ? Rng() & 3 : 0;
-        ASSERT_EQ(A.visit(Key, Delays, Mask), B.visit(Key, Delays, Mask));
+        ASSERT_EQ(A.visit(Cfg, Tag, Budget, Mask),
+                  B.visit(Cfg, Tag, Budget, Mask));
       }
 
       // An image never loads into a table of another shape.
@@ -194,7 +290,7 @@ TEST(VisitedTable, ImageRoundTripsUnderBothPolicies) {
       OtherMasks.init(CapBytes, !Masks);
       EXPECT_FALSE(OtherMasks.importImage(Img));
       VisitedTable OtherCap;
-      OtherCap.init(CapBytes ? 2 * CapBytes : uint64_t(1) << 20, Masks);
+      OtherCap.init(CapBytes ? 2 * CapBytes : uint64_t(1) << 24, Masks);
       EXPECT_FALSE(OtherCap.importImage(Img));
     }
   }
@@ -203,20 +299,31 @@ TEST(VisitedTable, ImageRoundTripsUnderBothPolicies) {
 TEST(VisitedTable, ConcurrentInsertsCountEachKeyOnce) {
   VisitedTable T;
   T.init(0, false);
-  std::vector<uint64_t> Pool = keyPool(100000, 9);
+  std::vector<uint64_t> Pool = cfgPool(100000, 9);
   std::atomic<uint64_t> New{0}, WaitNs{0};
   std::vector<std::thread> Threads;
   for (int W = 0; W != 4; ++W)
     Threads.emplace_back([&, W] {
-      // Every thread inserts the whole pool, starting at its own offset.
-      for (size_t I = 0; I != Pool.size(); ++I)
-        if (T.insert(Pool[(I + W * Pool.size() / 4) % Pool.size()],
-                     &WaitNs) == Visit::Explore)
-          New.fetch_add(1, std::memory_order_relaxed);
+      // Every thread covers the whole pool, starting at its own offset,
+      // with its own node of each configuration plus a shared one and,
+      // for every third, a config-only note.
+      for (size_t I = 0; I != Pool.size(); ++I) {
+        const uint64_t Cfg = Pool[(I + W * Pool.size() / 4) % Pool.size()];
+        const Visit Vs[] = {
+            T.visit(Cfg, uint64_t(W + 1) << 40, 0, 0, &WaitNs),
+            T.visit(Cfg, 0, 0, 0, &WaitNs),
+            I % 3 ? Visit::Dominated : T.note(Cfg, &WaitNs)};
+        for (Visit V : Vs)
+          if (V == Visit::NewConfig)
+            New.fetch_add(1, std::memory_order_relaxed);
+      }
     });
   for (std::thread &Th : Threads)
     Th.join();
   EXPECT_EQ(New.load(), Pool.size());
+  for (uint64_t Cfg : Pool)
+    for (uint64_t Tag = 0; Tag <= 4; ++Tag)
+      ASSERT_EQ(T.visit(Cfg, Tag << 40, 0, 0), Visit::Dominated);
 }
 
 } // namespace
