@@ -54,7 +54,7 @@ bool QuickFlag = false;  ///< --quick: small sweep for smoke tests.
 std::string JsonPath;    ///< --json <file|->; empty = no report.
 std::string ReportPath;  ///< --report <base>: <base>.{json,html}.
 std::FILE *Human = stdout;
-Reduction ReduceFlag = Reduction::Off; ///< --reduction off|sleep|symmetry|both.
+Reduction ReduceFlag = Reduction::Off; ///< --reduction (parseReductionFlag).
 std::string CheckpointBase;        ///< --checkpoint <base>: per-run files.
 double CheckpointIntervalFlag = 30; ///< --checkpoint-interval seconds.
 bool ResumeFlag = false;           ///< --resume: continue per-run files.
@@ -106,15 +106,6 @@ CompiledProgram compileOrExit(const std::string &Src) {
   return std::move(*R.Program);
 }
 
-Reduction parseReductionOrExit(const char *S) {
-  Reduction R;
-  if (parseReduction(S, R))
-    return R;
-  std::fprintf(stderr, "unknown --reduction '%s' (off|sleep|symmetry|both)\n",
-               S);
-  std::exit(2);
-}
-
 int32_t eventId(const CompiledProgram &Prog, const char *Name) {
   for (size_t I = 0; I != Prog.Events.size(); ++I)
     if (Prog.Events[I].Name == Name)
@@ -152,14 +143,14 @@ void installObs(CheckOptions &Opts) {
 
 int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
+    if (parseReductionFlag(argc, argv, I, ReduceFlag))
+      continue;
     if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
       WorkersFlag = std::atoi(argv[++I]);
     else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
       ReportPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--reduction") && I + 1 < argc)
-      ReduceFlag = parseReductionOrExit(argv[++I]);
     else if (!std::strcmp(argv[I], "--quick"))
       QuickFlag = true;
     else if (!std::strcmp(argv[I], "--checkpoint") && I + 1 < argc)

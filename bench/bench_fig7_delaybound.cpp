@@ -53,19 +53,10 @@ std::string ReportPath;   ///< --report <base>: <base>.{json,html}.
 std::FILE *Human = stdout; ///< Tables; stderr when the JSON owns stdout.
 VisitedMode VisitedFlag = VisitedMode::Fingerprint; ///< --visited-mode.
 uint64_t VisitedCapFlag = 0; ///< --visited-cap bytes (Compact; 0=64MiB).
-Reduction ReduceFlag = Reduction::Off; ///< --reduction off|sleep|symmetry|both.
+Reduction ReduceFlag = Reduction::Off; ///< --reduction (parseReductionFlag).
 std::string CheckpointBase;        ///< --checkpoint <base>: per-run files.
 double CheckpointIntervalFlag = 30; ///< --checkpoint-interval seconds.
 bool ResumeFlag = false;           ///< --resume: continue per-run files.
-
-Reduction parseReductionOrExit(const char *S) {
-  Reduction R;
-  if (parseReduction(S, R))
-    return R;
-  std::fprintf(stderr, "unknown --reduction '%s' (off|sleep|symmetry|both)\n",
-               S);
-  std::exit(2);
-}
 
 obs::BenchReport Report("fig7_delaybound");
 obs::RunReport RunRep("fig7_delaybound");
@@ -217,7 +208,8 @@ struct BugCase {
 
 int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
-    if (parseVisitedFlag(argc, argv, I, VisitedFlag, VisitedCapFlag))
+    if (parseVisitedFlag(argc, argv, I, VisitedFlag, VisitedCapFlag) ||
+        parseReductionFlag(argc, argv, I, ReduceFlag))
       continue;
     if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
       WorkersFlag = std::atoi(argv[++I]);
@@ -227,8 +219,6 @@ int main(int argc, char **argv) {
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
       ReportPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--reduction") && I + 1 < argc)
-      ReduceFlag = parseReductionOrExit(argv[++I]);
     else if (!std::strcmp(argv[I], "--quick"))
       QuickFlag = true;
     else if (!std::strcmp(argv[I], "--progress"))

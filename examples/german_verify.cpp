@@ -22,7 +22,7 @@
 //   --delay D             delay bound for the single run
 //   --visited-mode M      exact | fingerprint | compact
 //   --visited-cap BYTES   Compact byte cap (0 = 64 MiB default)
-//   --reduction R         off | sleep | symmetry | both (CheckOptions::Reduce)
+//   --reduction R         off | symmetry (CheckOptions::Reduce)
 //   --expect-states S     exit 1 unless DistinctStates == S
 //   --expect-nodes N      exit 1 unless NodesExplored == N
 //   --max-seconds T       exit 1 when the run took longer than T
@@ -81,13 +81,19 @@ static const char Usage[] =
     "  --workers N  --progress  --trace FILE  --chrome FILE  --msc\n"
     "  --metrics  --profile  --report BASE\n"
     "single run: --clients N  --delay D  --visited-mode M  --visited-cap B\n"
-    "  --reduction off|sleep|symmetry|both  --expect-states S\n"
+    "  --reduction %s  --expect-states S\n"
     "  --expect-nodes N  --max-seconds T  --checkpoint FILE\n"
     "  --checkpoint-interval S  --resume  --frontier-mem BYTES\n";
 
+/// Prints the usage to \p Out.
+static void printUsage(std::FILE *Out) {
+  std::fprintf(Out, Usage, ReductionChoices);
+}
+
 /// Prints \p Why and the usage, and exits 2.
 [[noreturn]] static void usageError(const std::string &Why) {
-  std::fprintf(stderr, "%s\n%s", Why.c_str(), Usage);
+  std::fprintf(stderr, "%s\n", Why.c_str());
+  printUsage(stderr);
   std::exit(2);
 }
 
@@ -120,14 +126,6 @@ static double realValue(int Argc, char **Argv, int &I) {
   return D;
 }
 
-static Reduction parseReductionOrExit(const char *S) {
-  Reduction R;
-  if (!parseReduction(S, R))
-    usageError(std::string("unknown --reduction '") + S +
-               "' (off|sleep|symmetry|both)");
-  return R;
-}
-
 int main(int argc, char **argv) {
   int Workers = 1; // --workers N (0 = hardware_concurrency)
   bool Progress = false, Msc = false, Metrics = false;
@@ -145,11 +143,12 @@ int main(int argc, char **argv) {
   bool Resume = false;
   uint64_t FrontierMem = 0;
   for (int I = 1; I < argc; ++I) {
-    if (parseVisitedFlag(argc, argv, I, Visited, VisitedCap))
+    if (parseVisitedFlag(argc, argv, I, Visited, VisitedCap) ||
+        parseReductionFlag(argc, argv, I, Reduce))
       continue;
     const std::string Flag = argv[I];
     if (Flag == "--help") {
-      std::printf("%s", Usage);
+      printUsage(stdout);
       return 0;
     }
     if (Flag == "--workers")
@@ -168,8 +167,6 @@ int main(int argc, char **argv) {
       Clients = static_cast<int>(intValue(argc, argv, I));
     else if (Flag == "--delay")
       Delay = static_cast<int>(intValue(argc, argv, I));
-    else if (Flag == "--reduction")
-      Reduce = parseReductionOrExit(flagValue(argc, argv, I));
     else if (Flag == "--expect-states")
       ExpectStates = intValue(argc, argv, I);
     else if (Flag == "--expect-nodes")
@@ -229,14 +226,13 @@ int main(int argc, char **argv) {
     if (Profile)
       std::fprintf(stderr, "%s", R.Profile.str(Prog).c_str());
     std::printf("german clients=%d d=%d mode=%s workers=%d reduction=%s "
-                "states=%llu nodes=%llu pruned=%llu collapsed=%llu "
+                "states=%llu nodes=%llu collapsed=%llu "
                 "seconds=%.3f visited_bytes=%llu "
                 "peak_rss_bytes=%llu omission=%d error=%s\n",
                 Clients, Delay, visitedModeName(Visited), Workers,
                 reductionName(Reduce),
                 static_cast<unsigned long long>(R.Stats.DistinctStates),
                 static_cast<unsigned long long>(R.Stats.NodesExplored),
-                static_cast<unsigned long long>(R.Stats.PrunedByIndependence),
                 static_cast<unsigned long long>(R.Stats.SymmetryCollapsed),
                 R.Stats.Seconds,
                 static_cast<unsigned long long>(R.Stats.VisitedBytes),

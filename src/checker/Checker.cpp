@@ -20,16 +20,6 @@ CheckResult p::check(const CompiledProgram &Prog, const CheckOptions &Opts,
   return runParallelSearch(Prog, Opts, Exec);
 }
 
-bool p::parseReduction(const char *Name, Reduction &Out) {
-  for (Reduction R : {Reduction::Off, Reduction::Sleep, Reduction::Symmetry,
-                      Reduction::Both})
-    if (!std::strcmp(Name, reductionName(R))) {
-      Out = R;
-      return true;
-    }
-  return false;
-}
-
 const char *p::visitedModeName(VisitedMode M) {
   switch (M) {
   case VisitedMode::Exact:
@@ -81,6 +71,24 @@ bool p::parseVisitedFlag(int Argc, char **Argv, int &I, VisitedMode &Mode,
     std::exit(2);
   }
   return true;
+}
+
+bool p::parseReductionFlag(int Argc, char **Argv, int &I, Reduction &Out) {
+  if (std::strcmp(Argv[I], "--reduction"))
+    return false;
+  if (I + 1 >= Argc) {
+    std::fprintf(stderr, "--reduction needs a value (%s)\n", ReductionChoices);
+    std::exit(2);
+  }
+  const char *Value = Argv[++I];
+  for (Reduction R : {Reduction::Off, Reduction::Symmetry})
+    if (!std::strcmp(Value, reductionName(R))) {
+      Out = R;
+      return true;
+    }
+  std::fprintf(stderr, "--reduction wants %s, got '%s'\n", ReductionChoices,
+               Value);
+  std::exit(2);
 }
 
 uint64_t p::packDecision(const SchedDecision &D) {

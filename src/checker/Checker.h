@@ -93,18 +93,12 @@ enum class VisitedMode : uint8_t {
   Compact,
 };
 
-/// Search-space reduction layers (see DESIGN.md "Reduction"). Both
-/// layers are opt-in: Off explores exactly what the PR-4 checker
-/// explored, bit-identical across worker counts.
+/// Search-space reduction on top of the delaying scheduler (see
+/// DESIGN.md "Reduction"). Opt-in: Off explores exactly what the PR-4
+/// checker explored, bit-identical across worker counts.
 enum class Reduction : uint8_t {
   /// No reduction (the default; the determinism-contract baseline).
   Off,
-  /// Sleep-set pruning over the independence relation on scheduling
-  /// decisions: two slices commute when they touch disjoint machines
-  /// and neither sends to, creates, or crashes a machine the other
-  /// slices. Commuting successor orders are explored once; pruned
-  /// branches are counted in CheckStats::PrunedByIndependence.
-  Sleep,
   /// Machine-symmetry canonicalization: instances of machine types
   /// declared `symmetric` are folded into a canonical permutation
   /// before visited-set lookup (values of machine type are renamed
@@ -114,8 +108,6 @@ enum class Reduction : uint8_t {
   /// stay in the original id space, so counterexample traces always
   /// name concrete machines.
   Symmetry,
-  /// Sleep + Symmetry composed.
-  Both,
 };
 
 /// Stable lower-case name of a Reduction value, as used by the bench
@@ -124,19 +116,14 @@ inline const char *reductionName(Reduction R) {
   switch (R) {
   case Reduction::Off:
     return "off";
-  case Reduction::Sleep:
-    return "sleep";
   case Reduction::Symmetry:
     return "symmetry";
-  case Reduction::Both:
-    return "both";
   }
   return "?";
 }
 
-/// Parses a `--reduction` flag value; false when \p Name is not one of
-/// off|sleep|symmetry|both (\p Out is untouched).
-bool parseReduction(const char *Name, Reduction &Out);
+/// The valid `--reduction` values, as the flag's help text lists them.
+inline constexpr char ReductionChoices[] = "off|symmetry";
 
 /// Stable lower-case name of a VisitedMode value, as used by the
 /// `--visited-mode` flags and the JSON reports.
@@ -155,6 +142,12 @@ bool parseVisitedMode(const char *Name, VisitedMode &Out);
 /// exits with status 2.
 bool parseVisitedFlag(int Argc, char **Argv, int &I, VisitedMode &Mode,
                       uint64_t &CapBytes);
+
+/// The one command-line parser of `--reduction R`, on the same terms as
+/// parseVisitedFlag: stores R and returns true when argv[I] is the flag,
+/// false for any other argument; a missing or unknown value prints
+/// ReductionChoices to stderr and exits with status 2.
+bool parseReductionFlag(int Argc, char **Argv, int &I, Reduction &Out);
 
 /// Options controlling one check() run.
 struct CheckOptions {
@@ -238,10 +231,10 @@ struct CheckOptions {
   uint32_t MaxQueue = 0;
   OverflowPolicy Overflow = OverflowPolicy::Error;
   /// Search-space reduction (see Reduction). Off is bit-identical to a
-  /// checker without the reduction layer; Sleep/Symmetry/Both compose
-  /// with every visited mode, fault budget, and worker count, and keep
-  /// error verdicts identical to the unreduced search (the differential
-  /// suite in tests/reduction_test.cpp pins this).
+  /// checker without the reduction layer; Symmetry composes with every
+  /// visited mode, fault budget, and worker count, and keeps error
+  /// verdicts identical to the unreduced search (the differential suite
+  /// in tests/reduction_test.cpp pins this).
   Reduction Reduce = Reduction::Off;
   /// Crash safety (see checker/Checkpoint.h and DESIGN.md "Checkpoint &
   /// resume"). When non-empty, the search periodically snapshots its
@@ -371,12 +364,7 @@ struct CheckStats {
   /// P_VERIFY_HASHES only; must be 0 — anything else is a COW
   /// invalidation bug).
   uint64_t HashMismatches = 0;
-  /// Sleep-set reduction (Reduction::Sleep/Both): run branches skipped
-  /// because the machine was asleep — its slice commutes with every
-  /// decision since the branch where it ran first. 0 when the layer is
-  /// off.
-  uint64_t PrunedByIndependence = 0;
-  /// Symmetry reduction (Reduction::Symmetry/Both): nodes pruned under
+  /// Symmetry reduction (Reduction::Symmetry): nodes pruned under
   /// a non-identity canonical permutation, i.e. recognized as permuted
   /// images of an explored representative. 0 when the layer is off or
   /// no machine type is declared `symmetric`.

@@ -266,12 +266,11 @@ void appendImage(const VisitedImage &Img, ByteWriter &W) {
   appendU64s(Img.StripeSlots, W);
   appendU64s(Img.Words, W);
   appendU64s(Img.Cfgs, W);
-  appendU64s(Img.Masks, W);
 }
 
 bool readImage(ByteReader &R, VisitedImage &Img) {
   return readU64s(R, Img.StripeSlots) && readU64s(R, Img.Words) &&
-         readU64s(R, Img.Cfgs) && readU64s(R, Img.Masks);
+         readU64s(R, Img.Cfgs);
 }
 
 } // namespace
@@ -324,11 +323,6 @@ void ckpt::appendFrontierNode(const FrontierNode &N, std::string &Out) {
   W.i32(N.Depth);
   W.i32(N.MustRun);
   W.i32(N.ByType);
-  W.u64(N.Sleep.size());
-  for (const auto &[Id, Fp] : N.Sleep) {
-    W.i32(Id);
-    W.u64(Fp);
-  }
   appendDecisions(N.Schedule, W);
 }
 
@@ -347,16 +341,6 @@ bool ckpt::readFrontierNode(ByteReader &R, FrontierNode &N) {
   N.Depth = R.i32();
   N.MustRun = R.i32();
   N.ByType = R.i32();
-  uint64_t NSleep = R.u64();
-  if (!R.ok())
-    return false;
-  N.Sleep.clear();
-  N.Sleep.reserve(NSleep);
-  for (uint64_t I = 0; I != NSleep; ++I) {
-    int32_t Id = R.i32();
-    uint64_t Fp = R.u64();
-    N.Sleep.emplace_back(Id, Fp);
-  }
   return readDecisions(R, N.Schedule);
 }
 
@@ -459,7 +443,6 @@ void appendPayload(const CheckpointData &D, std::string &Out) {
   W.u64(D.Terminals);
   W.u64(D.ErrorsFound);
   W.u64(D.FaultsInjected);
-  W.u64(D.PrunedByIndependence);
   W.u64(D.SymmetryCollapsed);
   W.u64(D.HashMismatches);
   W.u64(D.StealCount);
@@ -478,7 +461,6 @@ void appendPayload(const CheckpointData &D, std::string &Out) {
   for (const CheckpointData::ExactEntry &E : D.Exact) {
     W.str(E.Key);
     W.i32(E.Delays);
-    W.u64(E.Mask);
   }
 
   appendU64s(D.TerminalHashes, W);
@@ -512,7 +494,6 @@ bool readPayload(ByteReader &R, CheckpointData &D) {
   D.Terminals = R.u64();
   D.ErrorsFound = R.u64();
   D.FaultsInjected = R.u64();
-  D.PrunedByIndependence = R.u64();
   D.SymmetryCollapsed = R.u64();
   D.HashMismatches = R.u64();
   D.StealCount = R.u64();
@@ -537,7 +518,6 @@ bool readPayload(ByteReader &R, CheckpointData &D) {
     CheckpointData::ExactEntry E;
     E.Key = R.str();
     E.Delays = R.i32();
-    E.Mask = R.u64();
     D.Exact.push_back(std::move(E));
   }
 

@@ -16,12 +16,12 @@
 ///
 ///  * the frontier — every pending node (full machine configurations
 ///    via a lossless round-trip codec, scheduler stacks, delay/fault
-///    budgets, sleep sets, and the decision path from the root so
+///    budgets, and the decision path from the root so
 ///    counterexample traces survive the restart), including nodes the
 ///    FrontierStore spilled to disk;
 ///  * the visited tables: one positional image of the visited table
 ///    (node and configuration entries, each node with its tag and the
-///    (budget, sleep mask) pair it was explored under; see
+///    budget it was explored under; see
 ///    checker/VisitedTable.h), one of the terminal set and, in Exact
 ///    mode, the byte-keyed node map;
 ///  * CheckStats counters, the lex-least error record, collected
@@ -46,7 +46,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace p {
@@ -60,7 +59,9 @@ namespace ckpt {
 /// from the serialized bytes, so every stored key changed.
 /// Version 5: one visited image with per-slot node tags replaces the
 /// separate node-dedup and distinct-state images.
-inline constexpr uint32_t FormatVersion = 5;
+/// Version 6: frontier nodes, visited images and Exact entries lose
+/// their sleep-set and mask fields, and the sleep-prune counter goes.
+inline constexpr uint32_t FormatVersion = 6;
 
 /// CRC-32 (IEEE, reflected) over a byte range. Exposed so tests can
 /// forge structurally-valid-but-stale files (e.g. version skew with a
@@ -162,7 +163,7 @@ private:
 
 /// One pending search node in engine-neutral form: the full machine
 /// configuration, the delaying scheduler's stack, the budgets spent,
-/// the sleep set, and the decision path from the root (so the restored
+/// and the decision path from the root (so the restored
 /// node can still materialize a counterexample trace). The same codec
 /// serves both checkpoints and the FrontierStore's spill segments.
 struct FrontierNode {
@@ -173,8 +174,6 @@ struct FrontierNode {
   int32_t Depth = 0;
   int32_t MustRun = -1;
   int32_t ByType = -1;
-  /// Sleep-set entries as (machine id, footprint mask) pairs.
-  std::vector<std::pair<int32_t, uint64_t>> Sleep;
   /// The decisions that produced this node, root-first.
   std::vector<SchedDecision> Schedule;
 };
@@ -207,7 +206,6 @@ struct CheckpointData {
   uint64_t Terminals = 0;
   uint64_t ErrorsFound = 0;
   uint64_t FaultsInjected = 0;
-  uint64_t PrunedByIndependence = 0;
   uint64_t SymmetryCollapsed = 0;
   uint64_t HashMismatches = 0;
   uint64_t StealCount = 0;
@@ -230,7 +228,6 @@ struct CheckpointData {
   struct ExactEntry {
     std::string Key;
     int32_t Delays = 0;
-    uint64_t Mask = 0;
   };
   std::vector<ExactEntry> Exact;
 

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -74,15 +73,6 @@ struct TraceEntry {
 };
 static_assert(sizeof(TraceEntry) == 16);
 
-/// One sleeping machine (Reduction::Sleep): the id and the footprint of
-/// the slice it would run — its own bit plus the send/create target's.
-/// A later execution whose footprint intersects it is dependent and
-/// wakes the machine (the entry is removed).
-struct SleepEntry {
-  int32_t Id = -1;
-  uint64_t Fp = 0;
-};
-
 /// A node of the schedule tree.
 struct Node {
   Config Cfg;
@@ -99,38 +89,7 @@ struct Node {
   uint64_t TraceIdx = NoTraceRef; ///< The committed decision chain.
   /// The packed decision that made this node; see commitTrace.
   uint64_t Pending = NoDecision;
-  /// Sleep set (Reduction::Sleep/Both only; always empty otherwise).
-  /// An entry's machine ran first in a sibling branch; re-running it
-  /// here before any dependent decision would commute back into that
-  /// branch, so its Run is pruned until something wakes it.
-  std::vector<SleepEntry> Sleep;
 };
-
-/// Footprint bit of a machine id. Ids outside [0, 63) cannot be
-/// represented; ~0 makes every intersection check conservative (wakes
-/// everyone, is never inserted).
-uint64_t idBit(int32_t Id) {
-  return (Id >= 0 && Id < 63) ? (1ull << Id) : ~0ull;
-}
-
-/// Removes every sleeper whose footprint intersects \p F (a dependent
-/// decision executed; the commutation argument no longer applies).
-void wakeSleepers(std::vector<SleepEntry> &Sleep, uint64_t F) {
-  if (Sleep.empty())
-    return;
-  Sleep.erase(std::remove_if(Sleep.begin(), Sleep.end(),
-                             [F](const SleepEntry &E) {
-                               return (E.Fp & F) != 0;
-                             }),
-              Sleep.end());
-}
-
-bool isAsleep(const std::vector<SleepEntry> &Sleep, int32_t Id) {
-  for (const SleepEntry &E : Sleep)
-    if (E.Id == Id)
-      return true;
-  return false;
-}
 
 //===----------------------------------------------------------------------===//
 // Schedule ordering
@@ -194,28 +153,22 @@ void appendI32(std::string &Out, int32_t V) {
     Out.push_back(static_cast<char>((V >> (8 * B)) & 0xff));
 }
 
-/// The pair an Exact-mode key was explored under (see
-/// dominates(), the rule every visited table shares).
-struct ExactDom {
-  int32_t Delays = 0;
-  uint64_t Mask = 0;
-};
-
 /// Estimated footprint of one exact-mode entry, counting the string
 /// header, map-node overhead, and the heap block behind non-SSO keys.
 uint64_t exactEntryBytes(const std::string &Key) {
-  uint64_t Bytes = sizeof(std::string) + sizeof(ExactDom) + 2 * sizeof(void *);
+  uint64_t Bytes = sizeof(std::string) + sizeof(int32_t) + 2 * sizeof(void *);
   if (Key.size() > 15) // Past the usual small-string capacity.
     Bytes += Key.capacity() + 1;
   return Bytes;
 }
 
 /// One shard of Exact mode's node-dedup map: serialized node bytes ->
-/// the (delays, sleep mask) pair it was explored under. The oracle for
-/// the hashed tables, so it keys on the full bytes, not a fingerprint.
+/// the budget it was explored under (see dominates(), the rule every
+/// visited table shares). The oracle for the hashed tables, so it keys
+/// on the full bytes, not a fingerprint.
 struct ExactShard {
   std::mutex Mu;
-  std::unordered_map<std::string, ExactDom> Map;
+  std::unordered_map<std::string, int32_t> Map;
   /// Running footprint of this shard. Written under Mu; atomic so the
   /// progress heartbeat can read it without taking every shard lock.
   std::atomic<uint64_t> Bytes{0};
@@ -249,10 +202,9 @@ struct Worker {
 
   std::string Buf; ///< Reusable serialization buffer (Exact keys).
 
-  // Symmetry-reduction scratch (Reduction::Symmetry/Both).
+  // Symmetry-reduction scratch (Reduction::Symmetry).
   std::string SymBuf;                        ///< Candidate node bytes.
   std::vector<int32_t> Perm, Inv;            ///< Current π and π⁻¹.
-  std::vector<int32_t> WinPerm;              ///< π of the minimal key.
   std::vector<std::vector<int32_t>> Classes; ///< Permutable id classes.
   std::vector<int32_t> ClassTypes;           ///< Machine type per class.
   std::vector<std::vector<int32_t>> Arr;     ///< Odometer arrangements.
@@ -289,11 +241,7 @@ public:
         Mode(Opts.Visited),
         DoVerifyHashes(Opts.VerifyHashes ||
                        std::getenv("P_VERIFY_HASHES") != nullptr),
-        SleepOn(Opts.Reduce == Reduction::Sleep ||
-                Opts.Reduce == Reduction::Both),
-        SymOn((Opts.Reduce == Reduction::Symmetry ||
-               Opts.Reduce == Reduction::Both) &&
-              anySymmetricType(Prog)),
+        SymOn(Opts.Reduce == Reduction::Symmetry && anySymmetricType(Prog)),
         ProfileOn(Opts.Profile) {
     if (SymOn) {
       TypeIsSym.resize(Prog.Machines.size(), 0);
@@ -472,15 +420,10 @@ private:
   struct NodeKeys {
     uint64_t CfgHash = 0; ///< Config hash: the state's identity.
     uint64_t Key = 0;     ///< Node tag (Exact: the hash of W.Buf).
-    /// The node's sleep mask; under symmetry renamed through the winning
-    /// π, so mask dominance (admit) compares masks in canonical id
-    /// space — orbit members reached via different permutations must
-    /// agree on which *canonical* machines are asleep.
-    uint64_t Mask = 0;
     bool Identity = true; ///< The canonical form is the raw node itself.
   };
 
-  NodeKeys nodeKeys(Worker &W, Node &N);
+  NodeKeys nodeKeys(Worker &W, const Node &N);
 
   /// Hands \p Put the scheduler suffix of a node key, machine ids
   /// renamed through \p Perm (nullptr: none): the delaying scheduler's
@@ -502,8 +445,8 @@ private:
   }
 
   /// True when \p N is to be expanded. One visited-table probe checks
-  /// node (K.CfgHash, K.Key) under (\p Spent, K.Mask) — see
-  /// dominates() — and whether its configuration is new; a Full
+  /// node (K.CfgHash, K.Key) under \p Spent — see dominates() — and
+  /// whether its configuration is new; a Full
   /// Compact window prunes. \p Spent is the node's delays, or its depth
   /// in a depth-bounded search. Exact mode keys nodes on W.Buf. An
   /// admitted node counts as explored and commits its pending decision;
@@ -513,18 +456,18 @@ private:
     using Visit = VisitedTable::Visit;
     Visit V = Visit::Explore;
     if (Mode != VisitedMode::Exact) {
-      V = Visited.visit(K.CfgHash, K.Key, Spent, K.Mask, &W.ContentionNs);
+      V = Visited.visit(K.CfgHash, K.Key, Spent, &W.ContentionNs);
       countConfig(W, V, N.Cfg, N.ByType);
     } else {
       ExactShard &S = Exact[shardOf(K.Key)];
       auto L = lockTimed(S.Mu, &W.ContentionNs);
-      auto [It, Inserted] = S.Map.try_emplace(W.Buf, ExactDom{Spent, K.Mask});
+      auto [It, Inserted] = S.Map.try_emplace(W.Buf, Spent);
       if (Inserted)
         S.Bytes += exactEntryBytes(It->first);
-      else if (dominates(It->second.Delays, It->second.Mask, Spent, K.Mask))
+      else if (dominates(It->second, Spent))
         V = Visit::Dominated;
       else
-        It->second = {Spent, K.Mask};
+        It->second = Spent;
       L.unlock();
       if (V != Visit::Dominated)
         noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
@@ -574,14 +517,15 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Symmetry canonicalization (Reduction::Symmetry/Both)
+  // Symmetry canonicalization (Reduction::Symmetry)
   //===--------------------------------------------------------------------===//
 
   /// Collects the permutable id classes of \p Cfg into W.Classes: for
   /// each `symmetric` machine type, the ids of its instances (ascending;
   /// classes of fewer than two instances are dropped). False when there
-  /// is nothing to permute (or the config is too large for footprint
-  /// masks), in which case the caller uses the unreduced key path.
+  /// is nothing to permute (or the config is too large for the
+  /// hashConfigPermuted support mask), in which case the caller uses
+  /// the unreduced key path.
   bool buildSymClasses(Worker &W, const Config &Cfg) {
     W.Classes.clear();
     W.ClassTypes.clear();
@@ -610,19 +554,6 @@ private:
       W.Prof.Machines[W.Prof.rowOf(T)].SymmetryCollapsed += 1;
   }
 
-  /// Renames the set bits of a footprint/sleep mask through π.
-  static uint64_t permuteMask(uint64_t Mask,
-                              const std::vector<int32_t> &Perm) {
-    uint64_t Out = 0;
-    while (Mask) {
-      int B = std::countr_zero(Mask);
-      Mask &= Mask - 1;
-      Out |= idBit(B < static_cast<int>(Perm.size()) ? Perm[B]
-                                                     : static_cast<int32_t>(B));
-    }
-    return Out;
-  }
-
   /// Upper bound on enumerated permutations per node. The enumeration
   /// order is deterministic (odometer over per-class next_permutation,
   /// identity first), so a capped prefix still canonicalizes
@@ -630,11 +561,10 @@ private:
   /// permutation — it just merges fewer orbit members.
   static constexpr int MaxSymCandidates = 1024;
 
-  NodeKeys canonicalNodeKeys(Worker &W, const Node &N, uint64_t SleepMask);
+  NodeKeys canonicalNodeKeys(Worker &W, const Node &N);
 
   void pushFaultChildren(Worker &W, const Node &N);
-  void expandRun(Worker &W, Node &&N, int32_t Id,
-                 Executor::StepResult *OutR = nullptr);
+  void expandRun(Worker &W, Node &&N, int32_t Id);
   void expandDelayBounded(Worker &W, Node &&N);
   void expandDepthBounded(Worker &W, Node &&N);
   void process(Worker &W, Node &&N);
@@ -647,8 +577,6 @@ private:
     CheckStats S;
     S.DistinctStates = DistinctStates.load(std::memory_order_relaxed);
     S.NodesExplored = NodesExplored.load(std::memory_order_relaxed);
-    S.PrunedByIndependence =
-        PrunedByIndependence.load(std::memory_order_relaxed);
     S.SymmetryCollapsed =
         SymmetryCollapsed.load(std::memory_order_relaxed);
     S.ErrorsFound = ErrorsFound.load(std::memory_order_relaxed);
@@ -764,8 +692,6 @@ private:
   const VisitedMode Mode;
   /// Cross-check incremental vs. fresh hashes on every node.
   const bool DoVerifyHashes;
-  /// Sleep-set pruning requested (Reduction::Sleep/Both).
-  const bool SleepOn;
   /// Symmetry canonicalization active: requested and the program
   /// declares at least one symmetric machine type.
   const bool SymOn;
@@ -782,7 +708,6 @@ private:
 
   std::atomic<uint64_t> DistinctStates{0};
   std::atomic<uint64_t> NodesExplored{0};
-  std::atomic<uint64_t> PrunedByIndependence{0};
   std::atomic<uint64_t> SymmetryCollapsed{0};
   std::atomic<uint64_t> ErrorsFound{0};
   std::atomic<uint64_t> FaultsInjected{0};
@@ -865,9 +790,8 @@ private:
 /// pair, so CfgHash is the least candidate config hash; cached
 /// per-machine fingerprints are reused for machines whose refs mask is
 /// disjoint from the permutation's support.
-ParallelSearch::NodeKeys
-ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
-                                  uint64_t SleepMask) {
+ParallelSearch::NodeKeys ParallelSearch::canonicalNodeKeys(Worker &W,
+                                                          const Node &N) {
   const Config &Cfg = N.Cfg;
   const size_t NumM = Cfg.Machines.size();
   const bool Exact = Mode == VisitedMode::Exact;
@@ -902,8 +826,6 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
       if (First || W.SymBuf < W.Buf) {
         Out.Identity = First;
         std::swap(W.Buf, W.SymBuf);
-        if (SleepOn)
-          W.WinPerm = W.Perm;
       }
     } else {
       uint64_t Support = 0;
@@ -919,8 +841,6 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
         Out.CfgHash = Hc;
         Out.Key = K;
         Out.Identity = First;
-        if (SleepOn)
-          W.WinPerm = W.Perm;
       }
     }
     First = false;
@@ -939,8 +859,6 @@ ParallelSearch::canonicalNodeKeys(Worker &W, const Node &N,
     Out.Key = hashBytes(W.Buf.data(), W.Buf.size());
     Out.CfgHash = hashBytes(W.Buf.data(), CfgLen);
   }
-  if (SleepOn)
-    Out.Mask = permuteMask(SleepMask, W.WinPerm);
   return Out;
 }
 
@@ -966,8 +884,6 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
       C.FaultsUsed += 1;
       W.Exec.crashMachine(C.Cfg, Id); // Records FaultInjected itself.
       C.Sched.remove(Id);
-      if (SleepOn) // The crash touches Id: dependent sleepers wake.
-        wakeSleepers(C.Sleep, idBit(Id));
       SchedDecision D;
       D.K = SchedDecision::Kind::Crash;
       D.Machine = Id;
@@ -1015,8 +931,6 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
                               Dup ? FaultKind::DuplicateEvent
                                   : FaultKind::DropEvent),
                           M.Queue[Q].first);
-        if (SleepOn) // The queue fault touches Id's state.
-          wakeSleepers(C.Sleep, idBit(Id));
         C.Pending = packDecision(D);
         FaultsInjected.fetch_add(1, std::memory_order_relaxed);
         if (ProfileOn) {
@@ -1029,8 +943,7 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
   }
 }
 
-void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
-                               Executor::StepResult *OutR) {
+void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
   if (W.Trace)
     W.Trace->record(obs::TraceKind::Slice, Id);
   int32_t SliceType = -1;
@@ -1052,18 +965,6 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
     // Every child of this slice — and the node keyed from its result —
     // is this type's doing.
     N.ByType = SliceType;
-  }
-  if (OutR)
-    *OutR = R;
-  if (SleepOn && !N.Sleep.empty()) {
-    // The slice's footprint: the machine itself plus its send/create
-    // target. Sleepers it intersects depended on this decision — the
-    // commutation that justified their nap no longer holds, so they
-    // wake in every child of this slice.
-    uint64_t F = idBit(Id);
-    if (R.Outcome == Executor::StepOutcome::SchedulingPoint)
-      F |= idBit(R.Other);
-    wakeSleepers(N.Sleep, F);
   }
   W.Slices.fetch_add(1, std::memory_order_relaxed);
   N.Depth += 1;
@@ -1158,32 +1059,16 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id,
 /// Keys \p N after its stack is normalized (see NodeKeys): its
 /// configuration plus keySuffix. Exact mode serializes the whole node
 /// into W.Buf and keys on the bytes; hashed modes fold the suffix into
-/// the incremental config hash and never serialize. The sleep mask is
-/// deliberately NOT part of the key: it joins the budget as the second
-/// dominance dimension (see admit).
-ParallelSearch::NodeKeys ParallelSearch::nodeKeys(Worker &W, Node &N) {
+/// the incremental config hash and never serialize.
+ParallelSearch::NodeKeys ParallelSearch::nodeKeys(Worker &W, const Node &N) {
   // Incremental fingerprint: the combination of the per-machine cached
   // fingerprints — a successor re-hashes only the one machine its slice
   // mutated (the CowMachine cache survives for the rest).
   const uint64_t CfgHash = configHash(N.Cfg);
-  uint64_t SleepMask = 0;
-  if (SleepOn) {
-    // A sleeper that is dead or has nothing to run cannot take the
-    // pruned decision anyway, and it can only become runnable again
-    // through a dependent decision (a send or a queue fault), which
-    // wakes it. Dropping such entries before keying keeps nodes that
-    // have equal futures from splitting the visited set.
-    std::erase_if(N.Sleep, [&](const SleepEntry &E) {
-      return !W.Exec.isEnabled(N.Cfg, E.Id);
-    });
-    for (const SleepEntry &E : N.Sleep)
-      SleepMask |= idBit(E.Id);
-  }
   if (SymOn && buildSymClasses(W, N.Cfg))
-    return canonicalNodeKeys(W, N, SleepMask);
+    return canonicalNodeKeys(W, N);
   NodeKeys K;
   K.CfgHash = CfgHash;
-  K.Mask = SleepMask;
   if (Mode == VisitedMode::Exact) {
     W.Buf.clear();
     serializeConfig(N.Cfg, W.Buf);
@@ -1228,10 +1113,11 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
   const bool CanDelay =
       N.MustRun < 0 && N.DelaysUsed < Opts.DelayBound && N.Sched.size() > 1;
 
-  // A helper shared by both orders below: the Delay child (rotate the
-  // top to the bottom for one unit of budget).
-  auto makeDelayed = [&](const Node &From) {
-    Node Delayed = From; // copy
+  // Children are pushed so the zero-cost "run the top" branch is
+  // explored first (DFS pops last-pushed first): push the Delay child
+  // (rotate the top to the bottom for one unit of budget) first.
+  if (CanDelay) {
+    Node Delayed = N; // copy
     const int32_t Moved = Delayed.Sched.top();
     Delayed.Sched.rotate();
     Delayed.DelaysUsed += 1;
@@ -1241,74 +1127,9 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
     Delayed.Pending = packDecision(DelayDecision);
     if (W.Trace)
       W.Trace->record(obs::TraceKind::Delay, Moved);
-    return Delayed;
-  };
-
-  if (!SleepOn) {
-    // Children are pushed so the zero-cost "run the top" branch is
-    // explored first (DFS pops last-pushed first): push delay first.
-    if (CanDelay)
-      pushNode(W, makeDelayed(N));
-    expandRun(W, std::move(N), Top);
-    return;
+    pushNode(W, std::move(Delayed));
   }
-
-  if (N.MustRun < 0 && isAsleep(N.Sleep, Top)) {
-    // Running the top now would commute — decision by decision — back
-    // into the already-explored branch that put it to sleep; only the
-    // Delay alternative remains.
-    PrunedByIndependence.fetch_add(1, std::memory_order_relaxed);
-    if (ProfileOn) // The sleeper's type earned the prune.
-      W.Prof.Machines[W.Prof.rowOf(N.Cfg.Machines[Top]->MachineIndex)]
-          .SleepPruned += 1;
-    if (CanDelay)
-      pushNode(W, makeDelayed(N));
-    return;
-  }
-  if (!CanDelay) {
-    expandRun(W, std::move(N), Top);
-    return;
-  }
-  // Run the top first so its slice outcome can decide whether the Delay
-  // sibling may put it to sleep. The insertion must be budget-safe: a
-  // path in the Delay subtree that would re-run Top before any
-  // dependent decision must commute into a run-first mirror that
-  // spends no *more* delays. That holds when the slice ends Blocked or
-  // Halted (the mirror run-first path needs no delay at all), and when
-  // it sends to a machine already in the pre-run stack (the mirror
-  // spends its one delay rotating Top away after running it — the
-  // stacks re-converge because the send pushed no new machine).
-  // Slices that create a machine or push their target freshly onto the
-  // stack change the stack shape and have no such mirror; choice and
-  // foreign-call pauses are not complete slices. Those never sleep.
-  Node Delayed = makeDelayed(N);
-  Executor::StepResult R;
-  expandRun(W, std::move(N), Top, &R);
-  bool Insert = Top >= 0 && Top < 63;
-  if (Insert) {
-    switch (R.Outcome) {
-    case Executor::StepOutcome::Blocked:
-    case Executor::StepOutcome::Halted:
-      break;
-    case Executor::StepOutcome::SchedulingPoint: {
-      Insert = !R.Created && R.Other >= 0 && R.Other < 63 &&
-               Delayed.Sched.contains(R.Other);
-      break;
-    }
-    default:
-      Insert = false;
-      break;
-    }
-  }
-  if (Insert) {
-    SleepEntry E;
-    E.Id = Top;
-    E.Fp = idBit(Top);
-    if (R.Outcome == Executor::StepOutcome::SchedulingPoint)
-      E.Fp |= idBit(R.Other);
-    Delayed.Sleep.push_back(E);
-  }
-  pushNode(W, std::move(Delayed));
+  expandRun(W, std::move(N), Top);
 }
 
 void ParallelSearch::expandDepthBounded(Worker &W, Node &&N) {
@@ -1329,48 +1150,15 @@ void ParallelSearch::expandDepthBounded(Worker &W, Node &&N) {
 
   pushFaultChildren(W, N);
 
-  // Sibling sleep sets (Reduction::Sleep): after a machine's subtree is
-  // explored here, later siblings inherit it as a sleeper — re-running
-  // it before any dependent decision would commute into the explored
-  // subtree. N.Sleep doubles as the accumulator: each child copies the
-  // set as of its turn. Only complete slices (Blocked, Halted, one
-  // send/create) accumulate; a paused slice (choice, foreign call) is
-  // not one atomic transition of the independence relation.
   bool Any = false;
   for (int32_t Id = static_cast<int32_t>(N.Cfg.Machines.size()); Id-- > 0;) {
     if (!W.Exec.isEnabled(N.Cfg, Id))
       continue;
     Any = true;
-    if (SleepOn && isAsleep(N.Sleep, Id)) {
-      PrunedByIndependence.fetch_add(1, std::memory_order_relaxed);
-      if (ProfileOn)
-        W.Prof.Machines[W.Prof.rowOf(N.Cfg.Machines[Id]->MachineIndex)]
-            .SleepPruned += 1;
-      continue;
-    }
     Node Child = N; // copy per enabled machine
-    Executor::StepResult R;
-    expandRun(W, std::move(Child), Id, SleepOn ? &R : nullptr);
+    expandRun(W, std::move(Child), Id);
     if (Stop.load(std::memory_order_relaxed))
       return;
-    if (SleepOn && Id < 63) {
-      bool Insert = false;
-      uint64_t Fp = idBit(Id);
-      switch (R.Outcome) {
-      case Executor::StepOutcome::Blocked:
-      case Executor::StepOutcome::Halted:
-        Insert = true;
-        break;
-      case Executor::StepOutcome::SchedulingPoint:
-        Insert = R.Other >= 0 && R.Other < 63;
-        Fp |= idBit(R.Other);
-        break;
-      default:
-        break;
-      }
-      if (Insert)
-        N.Sleep.push_back({Id, Fp});
-    }
   }
   if (!Any)
     noteTerminal(W, K.CfgHash);
@@ -1580,9 +1368,6 @@ ckpt::FrontierNode ParallelSearch::toFrontierNode(const Node &N) {
   F.Depth = N.Depth;
   F.MustRun = N.MustRun;
   F.ByType = N.ByType;
-  F.Sleep.reserve(N.Sleep.size());
-  for (const SleepEntry &E : N.Sleep)
-    F.Sleep.emplace_back(E.Id, E.Fp);
   // Decisions from the root, so the node survives outside this
   // process's trace arenas.
   F.Schedule = materializeSchedule(N);
@@ -1599,9 +1384,6 @@ Node ParallelSearch::fromFrontierNode(Worker &W, ckpt::FrontierNode &&F) {
   N.Depth = F.Depth;
   N.MustRun = F.MustRun;
   N.ByType = F.ByType;
-  N.Sleep.reserve(F.Sleep.size());
-  for (const auto &[Id, Fp] : F.Sleep)
-    N.Sleep.push_back({Id, Fp});
   // Rebuild the decision chain in W's arena so a counterexample found
   // below this node still materializes a complete schedule; the last
   // decision stays pending, as it was when the node was captured.
@@ -1668,8 +1450,6 @@ bool ParallelSearch::captureCheckpoint(ckpt::CheckpointData &D) {
   D.NodesExplored = NodesExplored.load(std::memory_order_relaxed);
   D.ErrorsFound = ErrorsFound.load(std::memory_order_relaxed);
   D.FaultsInjected = FaultsInjected.load(std::memory_order_relaxed);
-  D.PrunedByIndependence =
-      PrunedByIndependence.load(std::memory_order_relaxed);
   D.SymmetryCollapsed = SymmetryCollapsed.load(std::memory_order_relaxed);
   D.HashMismatches = HashMismatches.load(std::memory_order_relaxed);
   D.OmissionPossible = Omission.load(std::memory_order_relaxed);
@@ -1702,8 +1482,8 @@ bool ParallelSearch::captureCheckpoint(ckpt::CheckpointData &D) {
   Terminals.exportImage(D.TerminalImage);
   for (ExactShard &S : Exact) {
     std::lock_guard<std::mutex> L(S.Mu);
-    for (const auto &[Key, Dom] : S.Map)
-      D.Exact.push_back({Key, Dom.Delays, Dom.Mask});
+    for (const auto &[Key, Delays] : S.Map)
+      D.Exact.push_back({Key, Delays});
   }
 
   if (Opts.TrackCoverage) {
@@ -1783,8 +1563,6 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
   NodesExplored.store(D.NodesExplored, std::memory_order_relaxed);
   ErrorsFound.store(D.ErrorsFound, std::memory_order_relaxed);
   FaultsInjected.store(D.FaultsInjected, std::memory_order_relaxed);
-  PrunedByIndependence.store(D.PrunedByIndependence,
-                             std::memory_order_relaxed);
   SymmetryCollapsed.store(D.SymmetryCollapsed, std::memory_order_relaxed);
   HashMismatches.store(D.HashMismatches, std::memory_order_relaxed);
   Omission.store(D.OmissionPossible, std::memory_order_relaxed);
@@ -1827,7 +1605,7 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
   for (ckpt::CheckpointData::ExactEntry &E : D.Exact) {
     ExactShard &S = Exact[shardOf(hashBytes(E.Key.data(), E.Key.size()))];
     auto [It, Inserted] =
-        S.Map.try_emplace(std::move(E.Key), ExactDom{E.Delays, E.Mask});
+        S.Map.try_emplace(std::move(E.Key), E.Delays);
     if (Inserted)
       S.Bytes += exactEntryBytes(It->first);
   }
@@ -1961,8 +1739,8 @@ CheckResult ParallelSearch::run() {
   uint64_t Cap = 0;
   if (Mode == VisitedMode::Compact)
     Cap = Opts.VisitedCapBytes ? Opts.VisitedCapBytes : 64ull * 1024 * 1024;
-  Visited.init(Cap, SleepOn && Mode != VisitedMode::Exact);
-  Terminals.init(0, false);
+  Visited.init(Cap);
+  Terminals.init(0);
 
   NumWorkers = resolveWorkers();
   Workers.reserve(NumWorkers);
@@ -2101,8 +1879,6 @@ CheckResult ParallelSearch::run() {
   CheckStats &Stats = Result.Stats;
   Stats.DistinctStates = DistinctStates.load(std::memory_order_relaxed);
   Stats.NodesExplored = NodesExplored.load(std::memory_order_relaxed);
-  Stats.PrunedByIndependence =
-      PrunedByIndependence.load(std::memory_order_relaxed);
   Stats.SymmetryCollapsed =
       SymmetryCollapsed.load(std::memory_order_relaxed);
   Stats.ErrorsFound = ErrorsFound.load(std::memory_order_relaxed);
@@ -2210,9 +1986,6 @@ CheckResult ParallelSearch::run() {
         .inc(Stats.FaultsInjected);
     M.gauge("p_check_fault_budget", "Fault budget of the run")
         .set(Opts.Faults.Budget);
-    M.counter("p_check_pruned_independence_total",
-              "Run branches pruned by sleep-set independence")
-        .inc(Stats.PrunedByIndependence);
     M.counter("p_check_symmetry_collapsed_total",
               "Nodes collapsed onto a symmetric representative")
         .inc(Stats.SymmetryCollapsed);

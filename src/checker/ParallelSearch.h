@@ -11,8 +11,8 @@
 ///  * one lock-striped visited table (checker/VisitedTable.h), probed
 ///    once per node — stripes keyed by the top bits of the
 ///    configuration hash, each node slot holding its tag and the
-///    (budget, sleep mask) dominance pair, so the "fewer delays
-///    dominates" pruning rule stays sound under concurrent insertion;
+///    budget it was explored under, so the "fewer delays dominates"
+///    pruning rule stays sound under concurrent insertion;
 ///  * a work-stealing frontier — idle workers steal the oldest
 ///    (shallowest) nodes from a victim's deque, keeping breadth
 ///    available near the root while owners run depth-first.

@@ -27,23 +27,21 @@ std::unique_lock<std::mutex> p::lockTimed(std::mutex &Mu,
   return L;
 }
 
-void VisitedTable::init(uint64_t CapBytes, bool Masks) {
+void VisitedTable::init(uint64_t CapBytes) {
   Growable = CapBytes == 0;
-  WithMasks = Masks;
   const uint64_t PerStripe =
       Growable ? InitialStripeSlots
                : std::max<uint64_t>(CapBytes / sizeof(Slot) / NumStripes,
                                     InitialStripeSlots);
   for (Stripe &S : Stripes) {
     S.Slots.assign(PerStripe, Slot{});
-    S.Masks.assign(WithMasks ? PerStripe : 0, 0);
     S.Used = 0;
   }
-  Bytes.store(NumStripes * PerStripe * slotBytes(), std::memory_order_relaxed);
+  Bytes.store(NumStripes * PerStripe * sizeof(Slot),
+              std::memory_order_relaxed);
 }
 
 VisitedTable::Visit VisitedTable::probe(uint64_t Cfg, uint64_t Word,
-                                        uint64_t Mask,
                                         std::atomic<uint64_t> *WaitNs) {
   const uint64_t Spent = Word & BudgetMask;
   Stripe &S = Stripes[stripeOf(Cfg)];
@@ -61,8 +59,6 @@ VisitedTable::Visit VisitedTable::probe(uint64_t Cfg, uint64_t Word,
       if (Reuse != Cap)
         break;
       Sl = {Cfg, Word};
-      if (WithMasks)
-        S.Masks[At] = Mask;
       ++S.Used;
       if (Growable && S.Used * MaxLoadDen > Cap * MaxLoadNum)
         grow(S);
@@ -80,20 +76,15 @@ VisitedTable::Visit VisitedTable::probe(uint64_t Cfg, uint64_t Word,
     }
     if ((Sl.Word ^ Word) & ~BudgetMask)
       continue; // Another node of the same configuration.
-    uint64_t NoMask = 0;
-    uint64_t &Stored = WithMasks ? S.Masks[At] : NoMask;
-    if (Field != Saturated && dominates(Field, Stored, Spent, Mask))
+    if (Field != Saturated && dominates(Field, Spent))
       return Visit::Dominated;
     Sl.Word = Word;
-    Stored = Mask;
     return Visit::Explore;
   }
   if (Reuse == Cap)
     return Visit::Full;
   // The node takes over its configuration's config-only entry.
   S.Slots[Reuse].Word = Word;
-  if (WithMasks)
-    S.Masks[Reuse] = Mask;
   return Visit::Explore;
 }
 
@@ -101,9 +92,7 @@ void VisitedTable::grow(Stripe &S) {
   const uint64_t OldCap = S.Slots.size();
   const uint64_t Cap = 2 * OldCap;
   std::vector<Slot> Slots(Cap);
-  std::vector<uint64_t> Masks(WithMasks ? Cap : 0, 0);
-  for (uint64_t I = 0; I != OldCap; ++I) {
-    const Slot &From = S.Slots[I];
+  for (const Slot &From : S.Slots) {
     if ((From.Word & BudgetMask) == EmptySlot)
       continue;
     uint64_t At = home(From.Cfg, Cap);
@@ -111,26 +100,20 @@ void VisitedTable::grow(Stripe &S) {
       if (++At == Cap)
         At = 0;
     Slots[At] = From;
-    if (WithMasks)
-      Masks[At] = S.Masks[I];
   }
   S.Slots = std::move(Slots);
-  S.Masks = std::move(Masks);
-  // The net allocation grows by the old arrays' size.
-  Bytes.fetch_add(OldCap * slotBytes(), std::memory_order_relaxed);
+  // The net allocation grows by the old array's size.
+  Bytes.fetch_add(OldCap * sizeof(Slot), std::memory_order_relaxed);
 }
 
 void VisitedTable::exportImage(VisitedImage &Img) const {
   Img = VisitedImage();
   for (const Stripe &S : Stripes) {
     Img.StripeSlots.push_back(S.Slots.size());
-    for (size_t I = 0; I != S.Slots.size(); ++I) {
-      Img.Words.push_back(S.Slots[I].Word);
-      if ((S.Slots[I].Word & BudgetMask) == EmptySlot)
-        continue;
-      Img.Cfgs.push_back(S.Slots[I].Cfg);
-      if (WithMasks)
-        Img.Masks.push_back(S.Masks[I]);
+    for (const Slot &Sl : S.Slots) {
+      Img.Words.push_back(Sl.Word);
+      if ((Sl.Word & BudgetMask) != EmptySlot)
+        Img.Cfgs.push_back(Sl.Cfg);
     }
   }
 }
@@ -138,8 +121,7 @@ void VisitedTable::exportImage(VisitedImage &Img) const {
 bool VisitedTable::importImage(const VisitedImage &Img) {
   if (Img.StripeSlots.empty() && Img.Words.empty())
     return true; // A table the captured run did not use.
-  if (Img.StripeSlots.size() != NumStripes ||
-      Img.Masks.size() != (WithMasks ? Img.Cfgs.size() : 0))
+  if (Img.StripeSlots.size() != NumStripes)
     return false;
   uint64_t Next = 0, NextCfg = 0;
   for (unsigned I = 0; I != NumStripes; ++I) {
@@ -151,7 +133,6 @@ bool VisitedTable::importImage(const VisitedImage &Img) {
         Cap > Img.Words.size() - Next)
       return false;
     S.Slots.assign(Cap, Slot{});
-    S.Masks.assign(WithMasks ? Cap : 0, 0);
     S.Used = 0;
     for (uint64_t J = 0; J != Cap; ++J) {
       const uint64_t Word = Img.Words[Next++];
@@ -159,10 +140,7 @@ bool VisitedTable::importImage(const VisitedImage &Img) {
         continue;
       if ((Word & BudgetMask) == EmptySlot || NextCfg == Img.Cfgs.size())
         return false;
-      S.Slots[J] = {Img.Cfgs[NextCfg], Word};
-      if (WithMasks)
-        S.Masks[J] = Img.Masks[NextCfg];
-      ++NextCfg;
+      S.Slots[J] = {Img.Cfgs[NextCfg++], Word};
       ++S.Used;
     }
     // A growable stripe must keep a hole for every probe to end in.
@@ -171,6 +149,6 @@ bool VisitedTable::importImage(const VisitedImage &Img) {
   }
   if (Next != Img.Words.size() || NextCfg != Img.Cfgs.size())
     return false;
-  Bytes.store(Next * slotBytes(), std::memory_order_relaxed);
+  Bytes.store(Next * sizeof(Slot), std::memory_order_relaxed);
   return true;
 }

@@ -18,8 +18,7 @@
 /// linear probe run. A config-only entry (quiescent and error
 /// configurations; every state of an Exact-mode run) never dominates. A
 /// budget too large for its field saturates, and a saturated stored
-/// budget never dominates. A sleep-mask sidecar (one word per slot)
-/// exists only when sleep sets are on.
+/// budget never dominates.
 ///
 /// Two growth policies, picked by the byte cap given to init():
 ///
@@ -51,19 +50,13 @@ std::unique_lock<std::mutex> lockTimed(std::mutex &Mu,
                                        std::atomic<uint64_t> *WaitNs);
 
 /// The one dominance rule of the visited set. A node was explored under
-/// the stored pair (budget spent, sleep mask) — the budget is delays in
-/// a delay-bounded search and depth in a depth-bounded one; a later
-/// visit under (\p Budget, \p Mask) is dominated — and pruned — when
-/// the stored exploration spent no more budget AND slept on a subset of
-/// the machines: it expanded every child the later visit could, each
-/// with at least as much budget left. Otherwise the visit explores and
-/// its pair replaces the stored one. Replacement is sound because the
-/// new pair also describes a real exploration; at worst an incomparable
-/// earlier pair is forgotten and some work repeats. With sleep sets off
-/// every mask is 0 and the rule is plain min-budget.
-inline bool dominates(uint64_t StoredBudget, uint64_t StoredMask,
-                      uint64_t Budget, uint64_t Mask) {
-  return StoredBudget <= Budget && (StoredMask & ~Mask) == 0;
+/// the stored budget spent — delays in a delay-bounded search, depth in
+/// a depth-bounded one; a later visit under \p Budget is dominated — and
+/// pruned — when the stored exploration spent no more: it expanded every
+/// child the later visit could, each with at least as much budget left.
+/// Otherwise the visit explores and its budget replaces the stored one.
+inline bool dominates(uint64_t StoredBudget, uint64_t Budget) {
+  return StoredBudget <= Budget;
 }
 
 /// A VisitedTable as plain data, for checkpoints. The slots are stored
@@ -74,7 +67,6 @@ struct VisitedImage {
   std::vector<uint64_t> StripeSlots; ///< Capacity of each stripe.
   std::vector<uint64_t> Words; ///< Every slot's tag|budget; holes too.
   std::vector<uint64_t> Cfgs;  ///< Occupied slots only, in slot order.
-  std::vector<uint64_t> Masks; ///< Likewise; empty without the sidecar.
 };
 
 class VisitedTable {
@@ -99,9 +91,8 @@ public:
 
   /// Allocates the slot arrays: growable when \p CapBytes is 0,
   /// otherwise bounded to the whole slots that fit in \p CapBytes (at
-  /// least InitialStripeSlots per stripe; the sidecar is not counted
-  /// against the cap). \p WithMasks adds the sleep-mask sidecar.
-  void init(uint64_t CapBytes, bool WithMasks);
+  /// least InitialStripeSlots per stripe).
+  void init(uint64_t CapBytes);
 
   /// Outcome of visit() and note().
   enum class Visit : uint8_t {
@@ -111,21 +102,20 @@ public:
     Full,      ///< Bounded table, probe window full: nothing stored.
   };
 
-  /// Visits node (\p Cfg, \p Tag) under (\p Budget, \p Mask) with the
-  /// rule of dominates(). \p Mask must be 0 without the sidecar.
-  /// Stripe waits are charged to \p WaitNs.
-  Visit visit(uint64_t Cfg, uint64_t Tag, int Budget, uint64_t Mask,
+  /// Visits node (\p Cfg, \p Tag) under \p Budget with the rule of
+  /// dominates(). Stripe waits are charged to \p WaitNs.
+  Visit visit(uint64_t Cfg, uint64_t Tag, int Budget,
               std::atomic<uint64_t> *WaitNs = nullptr) {
-    assert(Budget >= 0 && (WithMasks || Mask == 0));
+    assert(Budget >= 0);
     const uint64_t Spent = std::min<uint64_t>(Budget, Saturated);
-    return probe(Cfg, (Tag & ~BudgetMask) | Spent, Mask, WaitNs);
+    return probe(Cfg, (Tag & ~BudgetMask) | Spent, WaitNs);
   }
 
   /// Notes configuration \p Cfg without a node: NewConfig when no entry
   /// of it existed (a config-only entry is stored), Dominated when one
   /// did. The terminal set uses it as plain set insertion.
   Visit note(uint64_t Cfg, std::atomic<uint64_t> *WaitNs = nullptr) {
-    return probe(Cfg, CfgOnly, 0, WaitNs);
+    return probe(Cfg, CfgOnly, WaitNs);
   }
 
   /// Allocated slot bytes. Only grows, so it is monotone over a run;
@@ -134,7 +124,7 @@ public:
 
   /// Checkpoint capture and restore. Single-threaded: no worker may be
   /// probing. importImage() runs after init() and fails when the image
-  /// does not fit this table's policy, cap, or sidecar; an empty image
+  /// does not fit this table's policy or cap; an empty image
   /// (a table the captured run did not use) leaves the table as is.
   void exportImage(VisitedImage &Img) const;
   bool importImage(const VisitedImage &Img);
@@ -147,8 +137,7 @@ private:
   struct alignas(64) Stripe { // Own cache line per lock.
     std::mutex Mu;
     std::vector<Slot> Slots; ///< Guarded by Mu.
-    std::vector<uint64_t> Masks; ///< Sidecar, parallel to Slots.
-    uint64_t Used = 0;           ///< Occupied slots; guarded by Mu.
+    uint64_t Used = 0;       ///< Occupied slots; guarded by Mu.
   };
 
   static unsigned stripeOf(uint64_t Cfg) {
@@ -160,17 +149,12 @@ private:
     return static_cast<uint64_t>(
         (static_cast<unsigned __int128>(Cfg << StripeBits) * Cap) >> 64);
   }
-  uint64_t slotBytes() const {
-    return sizeof(Slot) + (WithMasks ? sizeof(uint64_t) : 0);
-  }
   /// The one probe behind visit() and note(): \p Word is a node's
   /// tag|budget, or CfgOnly for a note.
-  Visit probe(uint64_t Cfg, uint64_t Word, uint64_t Mask,
-              std::atomic<uint64_t> *WaitNs);
+  Visit probe(uint64_t Cfg, uint64_t Word, std::atomic<uint64_t> *WaitNs);
   void grow(Stripe &S);
 
   bool Growable = true;
-  bool WithMasks = false;
   std::atomic<uint64_t> Bytes{0};
   std::array<Stripe, NumStripes> Stripes;
 };

@@ -33,7 +33,6 @@ Json p::obs::checkStatsToJson(const CheckStats &Stats) {
   J.set("steal_count", Stats.StealCount);
   J.set("contention_ns", Stats.ContentionNs);
   J.set("faults_injected", Stats.FaultsInjected);
-  J.set("pruned_by_independence", Stats.PrunedByIndependence);
   J.set("symmetry_collapsed", Stats.SymmetryCollapsed);
   J.set("interrupted", Stats.Interrupted);
   J.set("resumed", Stats.Resumed);
@@ -104,7 +103,6 @@ bool p::obs::validateBenchReport(const Json &Report, std::string &Why,
                                       "contention_ns",
                                       "visited_bytes",
                                       "peak_rss_bytes",
-                                      "pruned_by_independence",
                                       "symmetry_collapsed"};
   for (size_t I = 0; I != Report.size(); ++I) {
     const Json &R = Report.at(I);

@@ -104,7 +104,6 @@ void SearchProfile::merge(const SearchProfile &O) {
     Machines[I].States += O.Machines[I].States;
     Machines[I].Slices += O.Machines[I].Slices;
     Machines[I].SliceNs += O.Machines[I].SliceNs;
-    Machines[I].SleepPruned += O.Machines[I].SleepPruned;
     Machines[I].SymmetryCollapsed += O.Machines[I].SymmetryCollapsed;
   }
   Depth.merge(O.Depth);
@@ -157,7 +156,7 @@ Json SearchProfile::toJson(const CompiledProgram &Prog,
     // The root row is all zeros except its single node; skip fully-empty
     // rows of machine types the program never ran.
     if (M.Nodes == 0 && M.States == 0 && M.Slices == 0 &&
-        M.SleepPruned == 0 && M.SymmetryCollapsed == 0)
+        M.SymmetryCollapsed == 0)
       continue;
     Json R = Json::object();
     R.set("machine", rowName(Prog, I, Machines.size()));
@@ -165,7 +164,6 @@ Json SearchProfile::toJson(const CompiledProgram &Prog,
     R.set("states", M.States);
     R.set("slices", M.Slices);
     R.set("slice_seconds", static_cast<double>(M.SliceNs) * 1e-9);
-    R.set("sleep_pruned", M.SleepPruned);
     R.set("symmetry_collapsed", M.SymmetryCollapsed);
     Rows.push(std::move(R));
   }
@@ -228,12 +226,12 @@ std::string SearchProfile::str(const CompiledProgram &Prog) const {
   const uint64_t Total = std::max<uint64_t>(totalNodes(), 1);
   std::snprintf(Buf, sizeof(Buf), "  %-18s %12s %6s %12s %10s %10s %10s\n",
                 "machine", "nodes", "%", "states", "slices", "slice_ms",
-                "pruned");
+                "collapsed");
   Out += Buf;
   for (size_t I = 0; I != Machines.size(); ++I) {
     const MachineProfile &M = Machines[I];
     if (M.Nodes == 0 && M.States == 0 && M.Slices == 0 &&
-        M.SleepPruned == 0 && M.SymmetryCollapsed == 0)
+        M.SymmetryCollapsed == 0)
       continue;
     std::snprintf(Buf, sizeof(Buf),
                   "  %-18s %12llu %5.1f%% %12llu %10llu %10.1f %10llu\n",
@@ -244,8 +242,7 @@ std::string SearchProfile::str(const CompiledProgram &Prog) const {
                   static_cast<unsigned long long>(M.States),
                   static_cast<unsigned long long>(M.Slices),
                   static_cast<double>(M.SliceNs) * 1e-6,
-                  static_cast<unsigned long long>(M.SleepPruned +
-                                                 M.SymmetryCollapsed));
+                  static_cast<unsigned long long>(M.SymmetryCollapsed));
     Out += Buf;
   }
   std::snprintf(Buf, sizeof(Buf),

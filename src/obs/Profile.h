@@ -9,8 +9,8 @@
 /// the exploration's cost to the program being explored. Every search
 /// node and distinct state is credited to the machine *type* whose
 /// slice produced it (which machine's interleavings drive the blow-up),
-/// slices are timed per type, reduction savings (sleep prunes, symmetry
-/// collapses) are credited to the types that earned them, and hot
+/// slices are timed per type, symmetry collapses are credited to the
+/// types that earned them, and hot
 /// (state, event) dispatches are counted over the same keys the
 /// coverage layer uses.
 ///
@@ -68,7 +68,6 @@ struct MachineProfile {
   uint64_t States = 0; ///< Distinct states credited the same way.
   uint64_t Slices = 0; ///< Slices of this type executed.
   uint64_t SliceNs = 0; ///< Wall time inside those slices.
-  uint64_t SleepPruned = 0; ///< Sleep-set prunes of this type's Run branch.
   uint64_t SymmetryCollapsed = 0; ///< Collapses of nodes this type produced.
 };
 

@@ -296,8 +296,8 @@ std::string RunReport::html() const {
     if (Machines.isArray() && Machines.size() > 0) {
       H += "<table><tr><th>machine</th><th class=\"num\">nodes</th>"
            "<th class=\"num\">states</th><th class=\"num\">slices</th>"
-           "<th class=\"num\">slice s</th><th class=\"num\">sleep "
-           "pruned</th><th class=\"num\">symmetry collapsed</th></tr>\n";
+           "<th class=\"num\">slice s</th><th class=\"num\">symmetry "
+           "collapsed</th></tr>\n";
       for (size_t M = 0; M != Machines.size(); ++M) {
         const Json &Row = Machines.at(M);
         H += "<tr><td>" + htmlEscape(Row.get("machine").asString()) +
@@ -306,8 +306,6 @@ std::string RunReport::html() const {
              "</td><td class=\"num\">" + fmtNumber(Row.get("slices")) +
              "</td><td class=\"num\">" +
              fmtNumber(Row.get("slice_seconds")) +
-             "</td><td class=\"num\">" +
-             fmtNumber(Row.get("sleep_pruned")) +
              "</td><td class=\"num\">" +
              fmtNumber(Row.get("symmetry_collapsed")) + "</td></tr>\n";
       }
@@ -502,8 +500,7 @@ bool p::obs::validateRunReport(const Json &Report, std::string &Why) {
   }
   static const char *StatKeys[] = {"distinct_states", "nodes_explored",
                                    "max_depth",       "workers_used",
-                                   "visited_bytes",   "symmetry_collapsed",
-                                   "pruned_by_independence"};
+                                   "visited_bytes",   "symmetry_collapsed"};
   for (size_t I = 0; I != Runs.size(); ++I) {
     const Json &R = Runs.at(I);
     const std::string At = "run " + std::to_string(I) + ": ";

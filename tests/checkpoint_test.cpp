@@ -154,7 +154,7 @@ TEST(Checkpoint, KillAndResumeAcrossVisitedModes) {
   killAndResume(Big, VisitedMode::Fingerprint, Reduction::Off, 1, 1,
                 "german2 d=1 mode=fingerprint", 1, &Cut);
   VisitedTable Fresh;
-  Fresh.init(0, false);
+  Fresh.init(0);
   // Two tables (visited, terminals) start this size.
   EXPECT_GT(Cut.VisitedBytes, 2 * Fresh.bytes())
       << "no stripe grew before the cut";
@@ -200,8 +200,7 @@ TEST(Checkpoint, CutAndResumeKeepTheLexLeastCounterexample) {
 
 TEST(Checkpoint, KillAndResumeUnderReductions) {
   CompiledProgram Prog = compile(corpus::german(1));
-  for (Reduction R :
-       {Reduction::Sleep, Reduction::Symmetry, Reduction::Both})
+  for (Reduction R : {Reduction::Symmetry})
     killAndResume(Prog, VisitedMode::Fingerprint, R, 1, 1,
                   std::string("german1 reduce=") + reductionName(R));
 }
@@ -368,10 +367,10 @@ TEST(CheckpointCorruption, StaleFormatVersionIsRejected) {
   // not table images; version 2 stored no depths for depth-bounded
   // runs; version 3 keys were hashed from the serialized bytes, not
   // streamed; version 4 stored separate node-dedup and distinct-state
-  // images) or a newer one: the load must fail on the version, not
-  // misparse the payload.
-  ASSERT_GT(ckpt::FormatVersion, 4u);
-  for (uint32_t Forged : {1u, 2u, 3u, 4u, ckpt::FormatVersion + 7}) {
+  // images; version 5 stored sleep sets and sleep masks) or a newer
+  // one: the load must fail on the version, not misparse the payload.
+  ASSERT_GT(ckpt::FormatVersion, 5u);
+  for (uint32_t Forged : {1u, 2u, 3u, 4u, 5u, ckpt::FormatVersion + 7}) {
     for (int I = 0; I != 4; ++I)
       Bytes[8 + I] = static_cast<char>((Forged >> (8 * I)) & 0xff);
     const uint32_t Crc = ckpt::crc32(Bytes.data(), Bytes.size() - 4);

@@ -115,14 +115,13 @@ void expectStatsIdentical(const CheckStats &A, const CheckStats &B) {
   EXPECT_EQ(A.MaxDepth, B.MaxDepth);
   EXPECT_EQ(A.Exhausted, B.Exhausted);
   EXPECT_EQ(A.VisitedBytes, B.VisitedBytes);
-  EXPECT_EQ(A.PrunedByIndependence, B.PrunedByIndependence);
   EXPECT_EQ(A.SymmetryCollapsed, B.SymmetryCollapsed);
   EXPECT_EQ(A.FaultsInjected, B.FaultsInjected);
 }
 
 TEST(ProfileTest, OffIsBitIdenticalAcrossReduceVisitedWorkers) {
   CompiledProgram Prog = compile(corpus::workerPool(3));
-  for (Reduction Reduce : {Reduction::Off, Reduction::Both}) {
+  for (Reduction Reduce : {Reduction::Off, Reduction::Symmetry}) {
     for (VisitedMode Visited :
          {VisitedMode::Fingerprint, VisitedMode::Exact}) {
       for (int Workers : {1, 2}) {
@@ -163,7 +162,7 @@ TEST(ProfileTest, AttributionReconcilesWithStats) {
   CompiledProgram Prog = compile(corpus::workerPool(3));
   CheckOptions Opts;
   Opts.DelayBound = 1;
-  Opts.Reduce = Reduction::Both;
+  Opts.Reduce = Reduction::Symmetry;
   Opts.Profile = true;
   Opts.StopOnFirstError = false;
   CheckResult R = check(Prog, Opts);
@@ -178,16 +177,14 @@ TEST(ProfileTest, AttributionReconcilesWithStats) {
   EXPECT_EQ(P.totalNodes(), R.Stats.NodesExplored);
   EXPECT_EQ(P.attributedNodes() + 1, P.totalNodes());
 
-  uint64_t States = 0, Slices = 0, Sleep = 0, Sym = 0;
+  uint64_t States = 0, Slices = 0, Sym = 0;
   for (const obs::MachineProfile &M : P.Machines) {
     States += M.States;
     Slices += M.Slices;
-    Sleep += M.SleepPruned;
     Sym += M.SymmetryCollapsed;
   }
   EXPECT_EQ(States, R.Stats.DistinctStates);
   EXPECT_EQ(Slices, R.Stats.Slices);
-  EXPECT_EQ(Sleep, R.Stats.PrunedByIndependence);
   EXPECT_EQ(Sym, R.Stats.SymmetryCollapsed);
 
   // One depth/delay observation per explored node.

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 //
 // VisitedTable (checker/VisitedTable.h) against a reference model: a
-// map from (configuration, tag) to (budget, mask) applying the same
-// dominance rule, plus a set of configurations. Covers random node
-// visits and config-only notes across many doublings (configuration 0
-// included), (budget, mask) replacement surviving a grow, saturated
+// map from (configuration, tag) to budget applying the same dominance
+// rule, plus a set of configurations. Covers random node visits and
+// config-only notes across many doublings (configuration 0 included),
+// budget replacement surviving a grow, saturated
 // budgets that never dominate, the bounded policy's fixed footprint and
 // Full windows (which store and count nothing), image round trips after
 // stripes grew, and concurrent visits that report each configuration
@@ -41,24 +41,20 @@ constexpr uint64_t Saturated = VisitedTable::Saturated;
 
 /// The reference model of one table.
 struct Reference {
-  /// (configuration, stored tag bits) -> (stored budget, mask).
-  std::map<std::pair<uint64_t, uint64_t>, std::pair<uint64_t, uint64_t>>
-      Nodes;
+  /// (configuration, stored tag bits) -> stored budget.
+  std::map<std::pair<uint64_t, uint64_t>, uint64_t> Nodes;
   std::set<uint64_t> Cfgs;
 
-  Visit visit(uint64_t Cfg, uint64_t Tag, int Budget, uint64_t Mask) {
+  Visit visit(uint64_t Cfg, uint64_t Tag, int Budget) {
     const uint64_t Spent = std::min<uint64_t>(Budget, Saturated);
     const bool Known = !Cfgs.insert(Cfg).second;
-    auto [It, Inserted] =
-        Nodes.try_emplace({Cfg, Tag & TagMask}, Spent, Mask);
+    auto [It, Inserted] = Nodes.try_emplace({Cfg, Tag & TagMask}, Spent);
     if (Inserted)
       return Known ? Visit::Explore : Visit::NewConfig;
-    auto &[StoredBudget, StoredMask] = It->second;
-    if (StoredBudget != Saturated && StoredBudget <= Spent &&
-        (StoredMask & ~Mask) == 0)
+    uint64_t &StoredBudget = It->second;
+    if (StoredBudget != Saturated && StoredBudget <= Spent)
       return Visit::Dominated;
     StoredBudget = Spent;
-    StoredMask = Mask;
     return Visit::Explore;
   }
 
@@ -81,8 +77,8 @@ std::vector<uint64_t> cfgPool(size_t N, uint64_t Seed) {
 /// config-only notes (about one in five) and expects identical outcomes
 /// throughout. Each configuration has up to four node tags; tag 0 and
 /// tags differing only below the tag bits are in the mix.
-void differential(VisitedTable &T, bool Masks, size_t PoolSize,
-                  size_t Steps, uint64_t Seed) {
+void differential(VisitedTable &T, size_t PoolSize, size_t Steps,
+                  uint64_t Seed) {
   const std::vector<uint64_t> Pool = cfgPool(PoolSize, Seed);
   const uint64_t Tags[] = {0, 0x9e3779b97f4a7c15ULL, ~0ull,
                            0x9e3779b97f4a7c15ULL ^ 1};
@@ -96,15 +92,13 @@ void differential(VisitedTable &T, bool Masks, size_t PoolSize,
     }
     const uint64_t Tag = Tags[Rng() % 4] ^ (Cfg << 20);
     const int Budget = static_cast<int>(Rng() % 6);
-    const uint64_t Mask = Masks ? Rng() & 0xf : 0;
-    ASSERT_EQ(T.visit(Cfg, Tag, Budget, Mask),
-              Ref.visit(Cfg, Tag, Budget, Mask))
+    ASSERT_EQ(T.visit(Cfg, Tag, Budget), Ref.visit(Cfg, Tag, Budget))
         << "visit " << I << " cfg " << Cfg;
   }
-  // Every stored pair is still there: re-visiting under it is
+  // Every stored budget is still there: re-visiting under it is
   // dominated, and every noted configuration is known.
-  for (const auto &[Node, Pair] : Ref.Nodes)
-    EXPECT_EQ(T.visit(Node.first, Node.second, Pair.first, Pair.second),
+  for (const auto &[Node, Budget] : Ref.Nodes)
+    EXPECT_EQ(T.visit(Node.first, Node.second, static_cast<int>(Budget)),
               Visit::Dominated)
         << Node.first;
   for (uint64_t Cfg : Ref.Cfgs)
@@ -113,88 +107,87 @@ void differential(VisitedTable &T, bool Masks, size_t PoolSize,
 
 TEST(VisitedTable, GrowableMatchesReferenceAcrossDoublings) {
   VisitedTable T;
-  T.init(0, false);
+  T.init(0);
   const uint64_t Initial = T.bytes();
   // ~2000 configurations per stripe with up to four nodes each: every
   // stripe doubles from 64 slots about seven times.
-  differential(T, false, 120000, 600000, 7);
+  differential(T, 120000, 600000, 7);
   EXPECT_GE(T.bytes(), Initial * 64);
 }
 
-TEST(VisitedTable, GrowableWithMasksMatchesReference) {
+TEST(VisitedTable, GrowableDenseRevisitsMatchReference) {
+  // A denser pool: ten visits per configuration, so most of them meet a
+  // stored node and exercise dominance and replacement.
   VisitedTable T;
-  T.init(0, true);
-  differential(T, true, 30000, 300000, 11);
+  T.init(0);
+  differential(T, 30000, 300000, 11);
 }
 
 TEST(VisitedTable, KeyZeroIsAnOrdinaryKey) {
   VisitedTable T;
-  T.init(0, false);
+  T.init(0);
   EXPECT_EQ(T.note(0), Visit::NewConfig);
   EXPECT_EQ(T.note(0), Visit::Dominated);
   // The node takes over the config-only entry; it is not a new state.
-  EXPECT_EQ(T.visit(0, 0, 0, 0), Visit::Explore);
-  EXPECT_EQ(T.visit(0, 0, 0, 0), Visit::Dominated);
-  EXPECT_EQ(T.visit(0, ~0ull, 0, 0), Visit::Explore); // Another node.
+  EXPECT_EQ(T.visit(0, 0, 0), Visit::Explore);
+  EXPECT_EQ(T.visit(0, 0, 0), Visit::Dominated);
+  EXPECT_EQ(T.visit(0, ~0ull, 0), Visit::Explore); // Another node.
   // Holes are marked in the budget field, so no real entry stands in
   // for configuration 0 and collides with it.
-  EXPECT_EQ(T.visit(0x9e3779b97f4a7c15ULL, 0, 0, 0), Visit::NewConfig);
+  EXPECT_EQ(T.visit(0x9e3779b97f4a7c15ULL, 0, 0), Visit::NewConfig);
 }
 
 TEST(VisitedTable, DelaysAndMaskReplacementSurviveGrow) {
   VisitedTable T;
-  T.init(0, true);
+  T.init(0);
   const uint64_t Cfg = 0x0123456789abcdefULL, Tag = 0xfedcba9876543210ULL;
-  ASSERT_EQ(T.visit(Cfg, Tag, 3, 0b10), Visit::NewConfig);
-  ASSERT_EQ(T.visit(Cfg, Tag, 2, 0b01), Visit::Explore); // Replaces.
+  ASSERT_EQ(T.visit(Cfg, Tag, 3), Visit::NewConfig);
+  ASSERT_EQ(T.visit(Cfg, Tag, 2), Visit::Explore); // Replaces.
 
   // Fill Cfg's stripe (same top bits) far past one doubling, and give
   // Cfg more nodes of its own.
   const uint64_t Before = T.bytes();
   for (uint64_t I = 1; I <= 1000; ++I) {
     ASSERT_EQ(T.note((Cfg & ~0xffffffffULL) | I), Visit::NewConfig);
-    ASSERT_EQ(T.visit(Cfg, Tag + (I << 32), 0, 0), Visit::Explore);
+    ASSERT_EQ(T.visit(Cfg, Tag + (I << 32), 0), Visit::Explore);
   }
   ASSERT_GT(T.bytes(), Before);
 
-  EXPECT_EQ(T.visit(Cfg, Tag, 2, 0b01), Visit::Dominated);
-  EXPECT_EQ(T.visit(Cfg, Tag, 4, 0b11), Visit::Dominated); // Superset.
-  EXPECT_EQ(T.visit(Cfg, Tag, 3, 0b10), Visit::Explore); // Not covered.
-  // (3, 0b10) replaced (2, 0b01): the forgotten pair no longer prunes.
-  EXPECT_EQ(T.visit(Cfg, Tag, 2, 0b01), Visit::Explore);
-  EXPECT_EQ(T.visit(Cfg, Tag, 1, 0b01), Visit::Explore); // Fewer delays.
-  EXPECT_EQ(T.visit(Cfg, Tag, 1, 0b01), Visit::Dominated);
+  EXPECT_EQ(T.visit(Cfg, Tag, 2), Visit::Dominated);
+  EXPECT_EQ(T.visit(Cfg, Tag, 4), Visit::Dominated); // More delays.
+  EXPECT_EQ(T.visit(Cfg, Tag, 1), Visit::Explore);   // Fewer delays.
+  EXPECT_EQ(T.visit(Cfg, Tag, 1), Visit::Dominated);
+  EXPECT_EQ(T.visit(Cfg, Tag, 2), Visit::Dominated);
   // Only the tag bits above the budget field name the node.
-  EXPECT_EQ(T.visit(Cfg, Tag ^ VisitedTable::BudgetMask, 1, 0b01),
+  EXPECT_EQ(T.visit(Cfg, Tag ^ VisitedTable::BudgetMask, 1),
             Visit::Dominated);
 }
 
 TEST(VisitedTable, SaturatedBudgetsNeverDominate) {
   for (bool Growable : {true, false}) {
     VisitedTable T;
-    T.init(Growable ? 0 : 1 << 20, false);
+    T.init(Growable ? 0 : 1 << 20);
     const int Huge = std::numeric_limits<int>::max();
     const int Big = static_cast<int>(Saturated) + 5;
-    EXPECT_EQ(T.visit(1, 2, Big, 0), Visit::NewConfig);
-    EXPECT_EQ(T.visit(1, 2, Big, 0), Visit::Explore);
-    EXPECT_EQ(T.visit(1, 2, Huge, 0), Visit::Explore);
-    EXPECT_EQ(T.visit(1, 2, static_cast<int>(Saturated), 0),
-              Visit::Explore);
+    EXPECT_EQ(T.visit(1, 2, Big), Visit::NewConfig);
+    EXPECT_EQ(T.visit(1, 2, Big), Visit::Explore);
+    EXPECT_EQ(T.visit(1, 2, Huge), Visit::Explore);
+    EXPECT_EQ(T.visit(1, 2, static_cast<int>(Saturated)), Visit::Explore);
     // A real budget replaces it and dominates every larger one.
-    EXPECT_EQ(T.visit(1, 2, 3, 0), Visit::Explore);
-    EXPECT_EQ(T.visit(1, 2, Huge, 0), Visit::Dominated);
+    EXPECT_EQ(T.visit(1, 2, 3), Visit::Explore);
+    EXPECT_EQ(T.visit(1, 2, Huge), Visit::Dominated);
     // The largest budget the field holds still dominates itself.
     const int Largest = static_cast<int>(Saturated) - 1;
-    EXPECT_EQ(T.visit(5, 6, Largest, 0), Visit::NewConfig);
-    EXPECT_EQ(T.visit(5, 6, Largest, 0), Visit::Dominated);
-    EXPECT_EQ(T.visit(5, 6, Largest + 1, 0), Visit::Dominated);
+    EXPECT_EQ(T.visit(5, 6, Largest), Visit::NewConfig);
+    EXPECT_EQ(T.visit(5, 6, Largest), Visit::Dominated);
+    EXPECT_EQ(T.visit(5, 6, Largest + 1), Visit::Dominated);
   }
 }
 
 TEST(VisitedTable, BoundedNeverGrowsAndReportsSaturation) {
   // Below the floor: every stripe gets InitialStripeSlots slots.
   VisitedTable T;
-  T.init(1024, false);
+  T.init(1024);
   const uint64_t Cap = T.bytes();
   const uint64_t Slots = VisitedTable::NumStripes *
                          VisitedTable::InitialStripeSlots;
@@ -206,7 +199,7 @@ TEST(VisitedTable, BoundedNeverGrowsAndReportsSaturation) {
   for (uint64_t I = 0; I != 4 * Slots; ++I) {
     const uint64_t Cfg = Rng();
     // Alternate nodes and config-only notes; both fill slots.
-    switch (I % 2 ? T.note(Cfg) : T.visit(Cfg, Rng(), 1, 0)) {
+    switch (I % 2 ? T.note(Cfg) : T.visit(Cfg, Rng(), 1)) {
     case Visit::NewConfig:
       Stored.push_back({Cfg, I % 2 != 0});
       break;
@@ -228,77 +221,66 @@ TEST(VisitedTable, BoundedNeverGrowsAndReportsSaturation) {
   for (const auto &[Cfg, Noted] : Stored) {
     EXPECT_EQ(T.note(Cfg), Visit::Dominated);
     const uint64_t Tag = 0x5555ull << 40;
-    EXPECT_EQ(T.visit(Cfg, Tag, 1, 0), Noted ? Visit::Explore : Visit::Full);
-    EXPECT_EQ(T.visit(Cfg, Tag, 1, 0),
-              Noted ? Visit::Dominated : Visit::Full);
+    EXPECT_EQ(T.visit(Cfg, Tag, 1), Noted ? Visit::Explore : Visit::Full);
+    EXPECT_EQ(T.visit(Cfg, Tag, 1), Noted ? Visit::Dominated : Visit::Full);
   }
   EXPECT_EQ(T.note(Rng()), Visit::Full);
-  EXPECT_EQ(T.visit(Rng(), 0, 0, 0), Visit::Full);
+  EXPECT_EQ(T.visit(Rng(), 0, 0), Visit::Full);
 }
 
 TEST(VisitedTable, ImageRoundTripsUnderBothPolicies) {
   for (uint64_t CapBytes : {uint64_t(0), uint64_t(1) << 20}) {
-    for (bool Masks : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "cap=" << CapBytes
-                                      << " masks=" << Masks);
-      VisitedTable A;
-      A.init(CapBytes, Masks);
-      const uint64_t Initial = A.bytes();
-      std::vector<uint64_t> Pool = cfgPool(20000, 5);
-      std::mt19937_64 Rng(6);
-      for (int I = 0; I != 60000; ++I) {
-        const uint64_t Cfg = Pool[Rng() % Pool.size()];
-        if (I % 4 == 0)
-          A.note(Cfg);
-        else
-          A.visit(Cfg, Rng() % 3 << 32, static_cast<int>(Rng() % 4),
-                  Masks ? Rng() & 3 : 0);
-      }
-      if (!CapBytes) { // The stripes grew before the capture.
-        ASSERT_GT(A.bytes(), 8 * Initial);
-      }
-
-      VisitedImage Img;
-      A.exportImage(Img);
-      VisitedTable B;
-      B.init(CapBytes, Masks);
-      ASSERT_TRUE(B.importImage(Img));
-      EXPECT_EQ(B.bytes(), A.bytes());
-      VisitedImage Again;
-      B.exportImage(Again);
-      EXPECT_EQ(Again.StripeSlots, Img.StripeSlots);
-      EXPECT_EQ(Again.Words, Img.Words);
-      EXPECT_EQ(Again.Cfgs, Img.Cfgs);
-      EXPECT_EQ(Again.Masks, Img.Masks);
-
-      // Both tables now answer alike, new configurations included.
-      for (int I = 0; I != 20000; ++I) {
-        const uint64_t Cfg = (I & 1) ? Pool[Rng() % Pool.size()] : Rng();
-        if (I % 3 == 0) {
-          ASSERT_EQ(A.note(Cfg), B.note(Cfg));
-          continue;
-        }
-        const uint64_t Tag = Rng() % 3 << 32;
-        const int Budget = static_cast<int>(Rng() % 4);
-        const uint64_t Mask = Masks ? Rng() & 3 : 0;
-        ASSERT_EQ(A.visit(Cfg, Tag, Budget, Mask),
-                  B.visit(Cfg, Tag, Budget, Mask));
-      }
-
-      // An image never loads into a table of another shape.
-      VisitedTable OtherMasks;
-      OtherMasks.init(CapBytes, !Masks);
-      EXPECT_FALSE(OtherMasks.importImage(Img));
-      VisitedTable OtherCap;
-      OtherCap.init(CapBytes ? 2 * CapBytes : uint64_t(1) << 24, Masks);
-      EXPECT_FALSE(OtherCap.importImage(Img));
+    SCOPED_TRACE(testing::Message() << "cap=" << CapBytes);
+    VisitedTable A;
+    A.init(CapBytes);
+    const uint64_t Initial = A.bytes();
+    std::vector<uint64_t> Pool = cfgPool(20000, 5);
+    std::mt19937_64 Rng(6);
+    for (int I = 0; I != 60000; ++I) {
+      const uint64_t Cfg = Pool[Rng() % Pool.size()];
+      if (I % 4 == 0)
+        A.note(Cfg);
+      else
+        A.visit(Cfg, Rng() % 3 << 32, static_cast<int>(Rng() % 4));
     }
+    if (!CapBytes) { // The stripes grew before the capture.
+      ASSERT_GT(A.bytes(), 8 * Initial);
+    }
+
+    VisitedImage Img;
+    A.exportImage(Img);
+    VisitedTable B;
+    B.init(CapBytes);
+    ASSERT_TRUE(B.importImage(Img));
+    EXPECT_EQ(B.bytes(), A.bytes());
+    VisitedImage Again;
+    B.exportImage(Again);
+    EXPECT_EQ(Again.StripeSlots, Img.StripeSlots);
+    EXPECT_EQ(Again.Words, Img.Words);
+    EXPECT_EQ(Again.Cfgs, Img.Cfgs);
+
+    // Both tables now answer alike, new configurations included.
+    for (int I = 0; I != 20000; ++I) {
+      const uint64_t Cfg = (I & 1) ? Pool[Rng() % Pool.size()] : Rng();
+      if (I % 3 == 0) {
+        ASSERT_EQ(A.note(Cfg), B.note(Cfg));
+        continue;
+      }
+      const uint64_t Tag = Rng() % 3 << 32;
+      const int Budget = static_cast<int>(Rng() % 4);
+      ASSERT_EQ(A.visit(Cfg, Tag, Budget), B.visit(Cfg, Tag, Budget));
+    }
+
+    // An image never loads into a table of another shape.
+    VisitedTable OtherCap;
+    OtherCap.init(CapBytes ? 2 * CapBytes : uint64_t(1) << 24);
+    EXPECT_FALSE(OtherCap.importImage(Img));
   }
 }
 
 TEST(VisitedTable, ConcurrentInsertsCountEachKeyOnce) {
   VisitedTable T;
-  T.init(0, false);
+  T.init(0);
   std::vector<uint64_t> Pool = cfgPool(100000, 9);
   std::atomic<uint64_t> New{0}, WaitNs{0};
   std::vector<std::thread> Threads;
@@ -310,8 +292,8 @@ TEST(VisitedTable, ConcurrentInsertsCountEachKeyOnce) {
       for (size_t I = 0; I != Pool.size(); ++I) {
         const uint64_t Cfg = Pool[(I + W * Pool.size() / 4) % Pool.size()];
         const Visit Vs[] = {
-            T.visit(Cfg, uint64_t(W + 1) << 40, 0, 0, &WaitNs),
-            T.visit(Cfg, 0, 0, 0, &WaitNs),
+            T.visit(Cfg, uint64_t(W + 1) << 40, 0, &WaitNs),
+            T.visit(Cfg, 0, 0, &WaitNs),
             I % 3 ? Visit::Dominated : T.note(Cfg, &WaitNs)};
         for (Visit V : Vs)
           if (V == Visit::NewConfig)
@@ -323,7 +305,7 @@ TEST(VisitedTable, ConcurrentInsertsCountEachKeyOnce) {
   EXPECT_EQ(New.load(), Pool.size());
   for (uint64_t Cfg : Pool)
     for (uint64_t Tag = 0; Tag <= 4; ++Tag)
-      ASSERT_EQ(T.visit(Cfg, Tag << 40, 0, 0), Visit::Dominated);
+      ASSERT_EQ(T.visit(Cfg, Tag << 40, 0), Visit::Dominated);
 }
 
 } // namespace
