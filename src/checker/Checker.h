@@ -369,10 +369,10 @@ struct CheckStats {
   /// images of an explored representative. 0 when the layer is off or
   /// no machine type is declared `symmetric`.
   uint64_t SymmetryCollapsed = 0;
-  /// Nodes queued across the work-stealing frontiers at snapshot time.
-  /// Only meaningful inside progress callbacks (the heartbeat's "how
-  /// much breadth is pending" signal); 0 in the final stats of a
-  /// completed run by construction.
+  /// Nodes queued across the work-stealing frontiers and the spill
+  /// store at snapshot time. Only meaningful inside progress callbacks
+  /// (the heartbeat's "how much breadth is pending" signal); 0 in the
+  /// final stats.
   uint64_t FrontierNodes = 0;
   /// True when CheckOptions::InterruptFlag ended the run early (implies
   /// !Exhausted). The frontier at the stop is preserved in the final

@@ -61,7 +61,8 @@ namespace ckpt {
 /// separate node-dedup and distinct-state images.
 /// Version 6: frontier nodes, visited images and Exact entries lose
 /// their sleep-set and mask fields, and the sleep-prune counter goes.
-inline constexpr uint32_t FormatVersion = 6;
+/// Version 7: visited images hold 1024 stripe capacities, not 64.
+inline constexpr uint32_t FormatVersion = 7;
 
 /// CRC-32 (IEEE, reflected) over a byte range. Exposed so tests can
 /// forge structurally-valid-but-stale files (e.g. version skew with a

@@ -75,7 +75,8 @@ bool FrontierStore::readSegment(const Segment &S,
 }
 
 bool FrontierStore::reload(std::vector<FrontierNode> &Nodes,
-                           std::string *Why, uint64_t *DroppedNodes) {
+                           std::string *Why, uint64_t *DroppedNodes,
+                           std::atomic<unsigned> *Busy) {
   Nodes.clear();
   if (DroppedNodes)
     *DroppedNodes = 0;
@@ -100,6 +101,8 @@ bool FrontierStore::reload(std::vector<FrontierNode> &Nodes,
   // not grow the file monotonically.
   if (Segments.empty())
     WriteOff = 0;
+  if (Busy)
+    Busy->fetch_add(1, std::memory_order_acq_rel);
   return true;
 }
 

@@ -33,6 +33,7 @@
 
 #include "checker/Checkpoint.h"
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -65,9 +66,14 @@ public:
   /// pending. On I/O or decode error the segment is *discarded* (it can
   /// never be read; retrying would spin forever), \p Why is set, and
   /// \p DroppedNodes receives the number of nodes lost so the caller
-  /// can re-balance its in-flight accounting. Thread-safe.
+  /// can account for the loss. A successful reload increments \p Busy,
+  /// when given, before it releases the store's lock: a worker that
+  /// finds the store empty and then reads the busy-worker count cannot
+  /// miss the nodes in between (see ParallelSearch's termination).
+  /// Thread-safe.
   bool reload(std::vector<ckpt::FrontierNode> &Nodes,
-              std::string *Why = nullptr, uint64_t *DroppedNodes = nullptr);
+              std::string *Why = nullptr, uint64_t *DroppedNodes = nullptr,
+              std::atomic<unsigned> *Busy = nullptr);
 
   /// Reads every pending segment without consuming it, appending the
   /// nodes to \p Out in segment order — checkpoint capture uses this so

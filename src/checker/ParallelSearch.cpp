@@ -146,6 +146,13 @@ unsigned shardOf(uint64_t Hash) {
   return static_cast<unsigned>(Hash >> (64 - VisitedTable::StripeBits));
 }
 
+/// Sets a flag that every worker reads, skipping the store — and the
+/// invalidation of its cache line — when the flag already holds \p V.
+void setOnce(std::atomic<bool> &Flag, bool V) {
+  if (Flag.load(std::memory_order_relaxed) != V)
+    Flag.store(V, std::memory_order_relaxed);
+}
+
 /// Appends \p V little-endian: Exact-mode node keys extend the config
 /// bytes with the key suffix this way.
 void appendI32(std::string &Out, int32_t V) {
@@ -196,6 +203,9 @@ struct Worker {
 
   std::mutex FrontierMu;
   std::deque<Node> Frontier;
+  /// Frontier.size(), stored relaxed by whoever holds FrontierMu, so the
+  /// heartbeat and the spill trigger can read it without the lock.
+  std::atomic<uint64_t> FrontierSize{0};
 
   std::mutex ArenaMu;
   std::deque<TraceEntry> Arena;
@@ -213,9 +223,14 @@ struct Worker {
   /// tracing is off. Single-writer: only this worker records into it.
   obs::TraceSink *Trace = nullptr;
 
-  // Locally accumulated counters, merged after the join. Single-writer
-  // (only the owning worker mutates them); atomic so the progress
-  // heartbeat on worker 0 can read them mid-run without a data race.
+  // Locally accumulated counters, summed by snapshotStats(). Single-writer
+  // (only the owning worker mutates them), so no cache line is written
+  // by every worker per node; atomic so the heartbeat, the MaxNodes
+  // check and checkpoint capture can read them mid-run.
+  std::atomic<uint64_t> NodesExplored{0};
+  std::atomic<uint64_t> DistinctStates{0};
+  std::atomic<uint64_t> SymmetryCollapsed{0};
+  std::atomic<uint64_t> FaultsInjected{0};
   std::atomic<uint64_t> Slices{0};
   std::atomic<uint64_t> Terminals{0};
   std::atomic<uint64_t> StealCount{0};
@@ -306,16 +321,21 @@ private:
     return Out;
   }
 
+  /// Publishes \p W's frontier size; the caller holds W.FrontierMu.
+  static void noteSize(Worker &W) {
+    W.FrontierSize.store(W.Frontier.size(), std::memory_order_relaxed);
+  }
+
   void pushNode(Worker &W, Node &&N) {
-    InFlight.fetch_add(1, std::memory_order_acq_rel);
+    size_t Size;
     {
       auto L = lockTimed(W.FrontierMu, &W.ContentionNs);
       W.Frontier.push_back(std::move(N));
+      noteSize(W);
+      Size = W.Frontier.size();
     }
-    if (Spill) {
-      InMemNodes.fetch_add(1, std::memory_order_relaxed);
+    if (Spill && Size >= 2 * MinResident)
       maybeSpill(W);
-    }
   }
 
   bool popLocal(Worker &W, Node &N) {
@@ -324,14 +344,14 @@ private:
       return false;
     N = std::move(W.Frontier.back());
     W.Frontier.pop_back();
-    if (Spill)
-      InMemNodes.fetch_sub(1, std::memory_order_relaxed);
+    noteSize(W);
     return true;
   }
 
   /// Steals up to half of a victim's frontier, oldest (shallowest)
   /// nodes first, so breadth created near the root keeps feeding idle
-  /// workers while owners descend depth-first.
+  /// workers while owners descend depth-first. The idle thief counts
+  /// itself busy before it lets go of the victim's lock (see workerLoop).
   bool trySteal(Worker &W, Node &N) {
     for (unsigned K = 1; K != NumWorkers; ++K) {
       Worker &V = *Workers[(W.Id + K) % NumWorkers];
@@ -348,6 +368,8 @@ private:
           Batch.push_back(std::move(V.Frontier.front()));
           V.Frontier.pop_front();
         }
+        noteSize(V);
+        BusyWorkers.fetch_add(1, std::memory_order_acq_rel);
       }
       N = std::move(Batch.back());
       Batch.pop_back();
@@ -355,10 +377,9 @@ private:
         auto Mine = lockTimed(W.FrontierMu, &W.ContentionNs);
         for (Node &B : Batch)
           W.Frontier.push_back(std::move(B));
+        noteSize(W);
       }
       W.StealCount.fetch_add(1, std::memory_order_relaxed);
-      if (Spill) // Net one node left the in-memory frontiers (N itself).
-        InMemNodes.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
     return false;
@@ -377,10 +398,10 @@ private:
   void countConfig(Worker &W, VisitedTable::Visit V, const Config &Cfg,
                    int32_t ByType) {
     if (V == VisitedTable::Visit::Full)
-      Omission.store(true, std::memory_order_relaxed);
+      setOnce(Omission, true);
     if (V != VisitedTable::Visit::NewConfig)
       return;
-    DistinctStates.fetch_add(1, std::memory_order_relaxed);
+    W.DistinctStates.fetch_add(1, std::memory_order_relaxed);
     if (ProfileOn)
       W.Prof.Machines[W.Prof.rowOf(ByType)].States += 1;
     if (Opts.TrackCoverage) {
@@ -474,18 +495,18 @@ private:
     }
     if (V == Visit::Dominated || V == Visit::Full) {
       if (!K.Identity) {
-        SymmetryCollapsed.fetch_add(1, std::memory_order_relaxed);
+        W.SymmetryCollapsed.fetch_add(1, std::memory_order_relaxed);
         if (ProfileOn)
           profileCollapse(W);
       }
       return false;
     }
-    NodesExplored.fetch_add(1, std::memory_order_relaxed);
+    W.NodesExplored.fetch_add(1, std::memory_order_relaxed);
     if (ProfileOn)
       W.Prof.noteNode(N.ByType, N.Depth, N.DelaysUsed,
                       Opts.Faults.enabled() ? N.FaultsUsed : -1);
     if (N.Depth >= Opts.DepthBound) {
-      Exhausted.store(false, std::memory_order_relaxed);
+      setOnce(Exhausted, false);
       return false;
     }
     commitTrace(W, N);
@@ -570,45 +591,59 @@ private:
   void process(Worker &W, Node &&N);
   void workerLoop(Worker &W);
 
-  /// Point-in-time CheckStats for the progress heartbeat: relaxed
-  /// loads of the shared counters and every worker's single-writer
-  /// atomics. Exact in serial runs, slightly stale across workers.
+  /// Point-in-time CheckStats for the progress heartbeat, checkpoint
+  /// capture and the final stats: relaxed loads of the engine's flags
+  /// and every worker's single-writer atomics. Exact once the workers
+  /// have stopped, slightly stale across workers mid-run. FrontierNodes
+  /// is the nodes in every frontier and in the spill store.
   CheckStats snapshotStats() const {
     CheckStats S;
-    S.DistinctStates = DistinctStates.load(std::memory_order_relaxed);
-    S.NodesExplored = NodesExplored.load(std::memory_order_relaxed);
-    S.SymmetryCollapsed =
-        SymmetryCollapsed.load(std::memory_order_relaxed);
     S.ErrorsFound = ErrorsFound.load(std::memory_order_relaxed);
+    S.HashMismatches = HashMismatches.load(std::memory_order_relaxed);
     S.Exhausted = Exhausted.load(std::memory_order_relaxed);
     S.WorkersUsed = static_cast<int>(NumWorkers);
     for (const auto &W : Workers) {
+      S.NodesExplored += W->NodesExplored.load(std::memory_order_relaxed);
+      S.DistinctStates += W->DistinctStates.load(std::memory_order_relaxed);
+      S.SymmetryCollapsed +=
+          W->SymmetryCollapsed.load(std::memory_order_relaxed);
+      S.FaultsInjected += W->FaultsInjected.load(std::memory_order_relaxed);
       S.Slices += W->Slices.load(std::memory_order_relaxed);
       S.Terminals += W->Terminals.load(std::memory_order_relaxed);
       S.StealCount += W->StealCount.load(std::memory_order_relaxed);
       S.ContentionNs += W->ContentionNs.load(std::memory_order_relaxed);
       S.MaxDepth =
           std::max(S.MaxDepth, W->MaxDepth.load(std::memory_order_relaxed));
+      S.FrontierNodes += W->FrontierSize.load(std::memory_order_relaxed);
     }
     S.VisitedBytes = visitedBytes();
     S.OmissionPossible = Omission.load(std::memory_order_relaxed);
-    S.FrontierNodes = static_cast<uint64_t>(
-        std::max<int64_t>(InFlight.load(std::memory_order_relaxed), 0));
     S.Interrupted = Interrupted.load(std::memory_order_relaxed);
     S.Resumed = DidResume;
     S.CheckpointsWritten =
         CheckpointsWritten.load(std::memory_order_relaxed);
     S.LastCheckpointBytes =
         LastCheckpointBytes.load(std::memory_order_relaxed);
-    S.FrontierSpilledNodes =
-        PriorSpilledNodes + (Spill ? Spill->spilledNodes() : 0);
-    S.FrontierSpillBytes =
-        PriorSpillBytes + (Spill ? Spill->spilledBytes() : 0);
+    S.FrontierSpilledNodes = PriorSpilledNodes;
+    S.FrontierSpillBytes = PriorSpillBytes;
+    if (Spill) {
+      S.FrontierNodes += Spill->pendingNodes();
+      S.FrontierSpilledNodes += Spill->spilledNodes();
+      S.FrontierSpillBytes += Spill->spilledBytes();
+    }
     S.Seconds = PriorSeconds +
                 std::chrono::duration<double>(
                     std::chrono::steady_clock::now() - StartTime)
                     .count();
     return S;
+  }
+
+  /// Nodes explored so far, summed over the workers (the MaxNodes cut).
+  uint64_t nodesExplored() const {
+    uint64_t N = 0;
+    for (const auto &W : Workers)
+      N += W->NodesExplored.load(std::memory_order_relaxed);
+    return N;
   }
 
   /// Honest visited-set footprint across every table that deduplicates
@@ -706,17 +741,15 @@ private:
   VisitedTable Terminals;
   std::array<ExactShard, NumShards> Exact;
 
-  std::atomic<uint64_t> DistinctStates{0};
-  std::atomic<uint64_t> NodesExplored{0};
-  std::atomic<uint64_t> SymmetryCollapsed{0};
   std::atomic<uint64_t> ErrorsFound{0};
-  std::atomic<uint64_t> FaultsInjected{0};
-  std::atomic<bool> Omission{false};
   std::atomic<uint64_t> HashMismatches{0};
-  /// Nodes queued in some frontier or being expanded; 0 <=> done.
-  std::atomic<int64_t> InFlight{0};
-  std::atomic<bool> Stop{false};
-  std::atomic<bool> Exhausted{true};
+  std::atomic<bool> Omission{false};
+  /// Workers holding work (see workerLoop). Written when a worker goes
+  /// idle or takes work from a victim or the spill store, not per node.
+  alignas(64) std::atomic<unsigned> BusyWorkers{0};
+  /// Read by every loop iteration, so alone on its cache line.
+  alignas(64) std::atomic<bool> Stop{false};
+  alignas(64) std::atomic<bool> Exhausted{true};
 
   std::mutex BestMu;
   ErrorRecord Best;
@@ -743,12 +776,12 @@ private:
   /// when spilling is off or the spill file could not be created.
   std::unique_ptr<FrontierStore> Spill;
   /// Rough per-node footprint, measured from the first frontier node's
-  /// serialized size; InMemNodes * this against the limit decides when
-  /// to spill.
+  /// serialized size; the frontiers' summed FrontierSize times this
+  /// against the limit decides when to spill.
   uint64_t NodeBytesEstimate = 1024;
-  /// Nodes currently resident across the in-memory frontiers.
-  /// Maintained only when Spill is active.
-  std::atomic<int64_t> InMemNodes{0};
+  /// Nodes a worker keeps in memory: it spills only from a frontier of
+  /// at least twice this many.
+  static constexpr size_t MinResident = 16;
   /// One-shot stderr warnings (checkpoint/spill I/O failure).
   std::atomic<bool> WarnedCkptFailure{false};
   std::atomic<bool> WarnedSpillFailure{false};
@@ -888,7 +921,7 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
       D.K = SchedDecision::Kind::Crash;
       D.Machine = Id;
       C.Pending = packDecision(D);
-      FaultsInjected.fetch_add(1, std::memory_order_relaxed);
+      W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
       if (ProfileOn) { // The fault acted on Id: its type gets the node.
         C.ByType = M.MachineIndex;
         W.Prof.FaultKinds[2] += 1;
@@ -932,7 +965,7 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
                                   : FaultKind::DropEvent),
                           M.Queue[Q].first);
         C.Pending = packDecision(D);
-        FaultsInjected.fetch_add(1, std::memory_order_relaxed);
+        W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
         if (ProfileOn) {
           C.ByType = M.MachineIndex;
           W.Prof.FaultKinds[Dup ? 1 : 0] += 1;
@@ -1039,7 +1072,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
       FailDecision.Machine = Id;
       FailDecision.Choice = true;
       FailChild.Pending = packDecision(FailDecision);
-      FaultsInjected.fetch_add(1, std::memory_order_relaxed);
+      W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
       if (ProfileOn)
         W.Prof.FaultKinds[3] += 1;
       pushNode(W, std::move(FailChild));
@@ -1206,6 +1239,16 @@ void ParallelSearch::workerLoop(Worker &W) {
   const bool CkptOn = !Opts.CheckpointPath.empty() &&
                       Opts.CheckpointIntervalSeconds > 0;
 
+  // Termination: BusyWorkers counts the workers holding work, a node in
+  // hand or a non-empty own frontier. Every worker starts busy and goes
+  // idle when popLocal finds its own frontier empty; only its owner
+  // pushes to a frontier, so it stays empty until a steal or a spill
+  // reload hands the worker nodes, and those count it busy before they
+  // release the victim's or the store's lock. The count is thus above 0
+  // whenever a node sits in a frontier or a worker's hand, and a worker
+  // that finds the spill store empty and then reads 0 knows no node is
+  // left. Nothing here is written per node.
+  bool Busy = true;
   int IdleSpins = 0;
   while (!Stop.load(std::memory_order_relaxed)) {
     if (Heartbeat && std::chrono::steady_clock::now() >= NextBeat) {
@@ -1227,8 +1270,7 @@ void ParallelSearch::workerLoop(Worker &W) {
     }
     if (CkptOn && CkptFlag.load(std::memory_order_acquire))
       checkpointBarrier(W);
-    if (Opts.MaxNodes &&
-        NodesExplored.load(std::memory_order_relaxed) >= Opts.MaxNodes) {
+    if (Opts.MaxNodes && nodesExplored() >= Opts.MaxNodes) {
       // Checked *before* popping so the cut discards nothing: every
       // pending node stays in some frontier, which is what lets a
       // checkpointed MaxNodes run resume losslessly.
@@ -1237,12 +1279,17 @@ void ParallelSearch::workerLoop(Worker &W) {
     }
     Node N;
     bool Have = popLocal(W, N);
+    if (!Have && Busy) {
+      Busy = false;
+      BusyWorkers.fetch_sub(1, std::memory_order_acq_rel);
+    }
     if (!Have && NumWorkers > 1)
       Have = trySteal(W, N);
     if (!Have && Spill)
       Have = tryReloadSpill(W, N);
     if (!Have) {
-      if (InFlight.load(std::memory_order_acquire) == 0)
+      if ((!Spill || Spill->pendingNodes() == 0) &&
+          BusyWorkers.load(std::memory_order_acquire) == 0)
         break;
       if (++IdleSpins < 64)
         std::this_thread::yield();
@@ -1250,9 +1297,9 @@ void ParallelSearch::workerLoop(Worker &W) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       continue;
     }
+    Busy = true;
     IdleSpins = 0;
     process(W, std::move(N));
-    InFlight.fetch_sub(1, std::memory_order_acq_rel);
   }
   workerExited();
 }
@@ -1446,37 +1493,31 @@ void ParallelSearch::workerExited() {
 bool ParallelSearch::captureCheckpoint(ckpt::CheckpointData &D) {
   D.Fingerprint = Fingerprint;
 
-  D.DistinctStates = DistinctStates.load(std::memory_order_relaxed);
-  D.NodesExplored = NodesExplored.load(std::memory_order_relaxed);
-  D.ErrorsFound = ErrorsFound.load(std::memory_order_relaxed);
-  D.FaultsInjected = FaultsInjected.load(std::memory_order_relaxed);
-  D.SymmetryCollapsed = SymmetryCollapsed.load(std::memory_order_relaxed);
-  D.HashMismatches = HashMismatches.load(std::memory_order_relaxed);
-  D.OmissionPossible = Omission.load(std::memory_order_relaxed);
+  const CheckStats S = snapshotStats();
+  D.DistinctStates = S.DistinctStates;
+  D.NodesExplored = S.NodesExplored;
+  D.ErrorsFound = S.ErrorsFound;
+  D.FaultsInjected = S.FaultsInjected;
+  D.SymmetryCollapsed = S.SymmetryCollapsed;
+  D.HashMismatches = S.HashMismatches;
+  D.OmissionPossible = S.OmissionPossible;
   // Depth-truncation state only: a Stop (interrupt, MaxNodes, error)
   // leaves its pending work in this very checkpoint, so it is not a
   // permanent loss and must not poison the resumed run's verdict.
-  D.Exhausted = Exhausted.load(std::memory_order_relaxed);
+  D.Exhausted = S.Exhausted;
   // Count this checkpoint in its own image, so the cumulative counter
   // survives the restart it enables.
-  D.CheckpointsWritten =
-      CheckpointsWritten.load(std::memory_order_relaxed) + 1;
-
-  for (const auto &W : Workers) {
-    D.Slices += W->Slices.load(std::memory_order_relaxed);
-    D.Terminals += W->Terminals.load(std::memory_order_relaxed);
-    D.StealCount += W->StealCount.load(std::memory_order_relaxed);
-    D.ContentionNs += W->ContentionNs.load(std::memory_order_relaxed);
-    D.MaxDepth = std::max(D.MaxDepth,
-                          W->MaxDepth.load(std::memory_order_relaxed));
+  D.CheckpointsWritten = S.CheckpointsWritten + 1;
+  D.Slices = S.Slices;
+  D.Terminals = S.Terminals;
+  D.StealCount = S.StealCount;
+  D.ContentionNs = S.ContentionNs;
+  D.MaxDepth = S.MaxDepth;
+  D.ElapsedSeconds = S.Seconds;
+  for (const auto &W : Workers)
     D.TerminalHashes.insert(D.TerminalHashes.end(),
                             W->TerminalHashes.begin(),
                             W->TerminalHashes.end());
-  }
-  D.ElapsedSeconds =
-      PriorSeconds + std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - StartTime)
-                         .count();
 
   Visited.exportImage(D.TableImage);
   Terminals.exportImage(D.TerminalImage);
@@ -1559,11 +1600,7 @@ void ParallelSearch::performCheckpoint() {
 
 bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
                                        std::string &Why) {
-  DistinctStates.store(D.DistinctStates, std::memory_order_relaxed);
-  NodesExplored.store(D.NodesExplored, std::memory_order_relaxed);
   ErrorsFound.store(D.ErrorsFound, std::memory_order_relaxed);
-  FaultsInjected.store(D.FaultsInjected, std::memory_order_relaxed);
-  SymmetryCollapsed.store(D.SymmetryCollapsed, std::memory_order_relaxed);
   HashMismatches.store(D.HashMismatches, std::memory_order_relaxed);
   Omission.store(D.OmissionPossible, std::memory_order_relaxed);
   Exhausted.store(D.Exhausted, std::memory_order_relaxed);
@@ -1576,6 +1613,10 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
   // Worker-local accumulators all land on worker 0; merges are sums,
   // so placement does not matter.
   Worker &W0 = *Workers[0];
+  W0.NodesExplored.store(D.NodesExplored, std::memory_order_relaxed);
+  W0.DistinctStates.store(D.DistinctStates, std::memory_order_relaxed);
+  W0.SymmetryCollapsed.store(D.SymmetryCollapsed, std::memory_order_relaxed);
+  W0.FaultsInjected.store(D.FaultsInjected, std::memory_order_relaxed);
   W0.Slices.store(D.Slices, std::memory_order_relaxed);
   W0.Terminals.store(D.Terminals, std::memory_order_relaxed);
   W0.StealCount.store(D.StealCount, std::memory_order_relaxed);
@@ -1625,29 +1666,26 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
 
   // Frontier: serial runs take every node on worker 0 in capture order
   // (the exact DFS stack resumes); parallel runs deal round-robin.
-  InFlight.store(static_cast<int64_t>(D.Frontier.size()),
-                 std::memory_order_relaxed);
   size_t Next = 0;
   for (ckpt::FrontierNode &FN : D.Frontier) {
     Worker &W = *Workers[NumWorkers == 1 ? 0 : Next++ % NumWorkers];
     W.Frontier.push_back(fromFrontierNode(W, std::move(FN)));
   }
-  if (Spill)
-    InMemNodes.store(static_cast<int64_t>(D.Frontier.size()),
-                     std::memory_order_relaxed);
+  for (const auto &W : Workers)
+    noteSize(*W);
   DidResume = true;
   return true;
 }
 
 void ParallelSearch::maybeSpill(Worker &W) {
-  const int64_t InMem = InMemNodes.load(std::memory_order_relaxed);
-  if (InMem <= 0 || static_cast<uint64_t>(InMem) * NodeBytesEstimate <=
-                        Opts.FrontierMemLimitBytes)
+  uint64_t InMem = 0;
+  for (const auto &WP : Workers)
+    InMem += WP->FrontierSize.load(std::memory_order_relaxed);
+  if (InMem * NodeBytesEstimate <= Opts.FrontierMemLimitBytes)
     return;
   // Spill the cold half of our own frontier — the *front*, the oldest
   // breadth, which our DFS will not revisit for the longest and which
   // thieves can live without.
-  constexpr size_t MinResident = 16;
   std::vector<Node> Victims;
   {
     auto L = lockTimed(W.FrontierMu, &W.ContentionNs);
@@ -1659,17 +1697,15 @@ void ParallelSearch::maybeSpill(Worker &W) {
       Victims.push_back(std::move(W.Frontier.front()));
       W.Frontier.pop_front();
     }
+    noteSize(W);
   }
   std::vector<ckpt::FrontierNode> Batch;
   Batch.reserve(Victims.size());
   for (const Node &N : Victims)
     Batch.push_back(toFrontierNode(N));
   std::string Why;
-  if (Spill->spill(Batch, &Why)) {
-    InMemNodes.fetch_sub(static_cast<int64_t>(Victims.size()),
-                         std::memory_order_relaxed);
+  if (Spill->spill(Batch, &Why))
     return;
-  }
   // Disk refused: put the victims back in their original order and
   // keep searching in memory.
   if (!WarnedSpillFailure.exchange(true))
@@ -1680,17 +1716,17 @@ void ParallelSearch::maybeSpill(Worker &W) {
   auto L = lockTimed(W.FrontierMu, &W.ContentionNs);
   for (size_t I = Victims.size(); I-- > 0;)
     W.Frontier.push_front(std::move(Victims[I]));
+  noteSize(W);
 }
 
 bool ParallelSearch::tryReloadSpill(Worker &W, Node &N) {
   std::vector<ckpt::FrontierNode> Seg;
   std::string Why;
   uint64_t Dropped = 0;
-  if (!Spill->reload(Seg, &Why, &Dropped)) {
+  if (!Spill->reload(Seg, &Why, &Dropped, &BusyWorkers)) {
     if (Dropped) {
-      // An unreadable segment is permanently lost work: account for it
-      // so InFlight still drains and the run reports incompleteness
-      // instead of hanging or over-claiming.
+      // An unreadable segment is permanently lost work: the run reports
+      // incompleteness instead of over-claiming.
       if (!WarnedSpillFailure.exchange(true))
         std::fprintf(stderr,
                      "warning: dropped %llu spilled frontier nodes "
@@ -1698,13 +1734,9 @@ bool ParallelSearch::tryReloadSpill(Worker &W, Node &N) {
                      static_cast<unsigned long long>(Dropped),
                      Why.c_str());
       Exhausted.store(false, std::memory_order_relaxed);
-      InFlight.fetch_sub(static_cast<int64_t>(Dropped),
-                         std::memory_order_acq_rel);
     }
     return false;
   }
-  if (Seg.empty())
-    return false;
   // The youngest node of the segment comes back in hand; the rest
   // rejoin the in-memory frontier.
   Node Last = fromFrontierNode(W, std::move(Seg.back()));
@@ -1717,9 +1749,8 @@ bool ParallelSearch::tryReloadSpill(Worker &W, Node &N) {
     auto L = lockTimed(W.FrontierMu, &W.ContentionNs);
     for (Node &B : Rest)
       W.Frontier.push_back(std::move(B));
+    noteSize(W);
   }
-  InMemNodes.fetch_add(static_cast<int64_t>(Seg.size()),
-                       std::memory_order_relaxed);
   N = std::move(Last);
   return true;
 }
@@ -1831,10 +1862,8 @@ CheckResult ParallelSearch::run() {
     Root.Cfg.MaxQueue = Opts.MaxQueue;
     Root.Cfg.Overflow = Opts.Overflow;
     Root.Sched.push(0);
-    InFlight.store(1, std::memory_order_relaxed);
     Workers[0]->Frontier.push_back(std::move(Root));
-    if (Spill)
-      InMemNodes.store(1, std::memory_order_relaxed);
+    noteSize(*Workers[0]);
   }
 
   if (Spill) {
@@ -1850,6 +1879,7 @@ CheckResult ParallelSearch::run() {
       }
   }
 
+  BusyWorkers.store(NumWorkers, std::memory_order_relaxed);
   if (NumWorkers == 1) {
     workerLoop(*Workers[0]);
   } else {
@@ -1862,12 +1892,6 @@ CheckResult ParallelSearch::run() {
       T.join();
   }
 
-  // Work left in the frontier (interrupt, MaxNodes, error stop) means
-  // the search is not exhausted *yet* — but unlike a depth cut it is
-  // recoverable, so it must not poison the Exhausted flag that the
-  // final checkpoint persists for the resumed run.
-  const bool Pending = InFlight.load(std::memory_order_relaxed) != 0;
-
   // Final checkpoint: every way the search ends — completion,
   // interruption, MaxNodes, error stop — leaves the on-disk state
   // matching it. Resuming a completed checkpoint is a no-op that
@@ -1877,40 +1901,19 @@ CheckResult ParallelSearch::run() {
 
   CheckResult Result;
   CheckStats &Stats = Result.Stats;
-  Stats.DistinctStates = DistinctStates.load(std::memory_order_relaxed);
-  Stats.NodesExplored = NodesExplored.load(std::memory_order_relaxed);
-  Stats.SymmetryCollapsed =
-      SymmetryCollapsed.load(std::memory_order_relaxed);
-  Stats.ErrorsFound = ErrorsFound.load(std::memory_order_relaxed);
-  Stats.FaultsInjected = FaultsInjected.load(std::memory_order_relaxed);
-  Stats.Exhausted = Exhausted.load(std::memory_order_relaxed) && !Pending;
-  Stats.WorkersUsed = static_cast<int>(NumWorkers);
-  Stats.Interrupted = Interrupted.load(std::memory_order_relaxed);
-  Stats.Resumed = DidResume;
-  Stats.CheckpointsWritten =
-      CheckpointsWritten.load(std::memory_order_relaxed);
-  Stats.LastCheckpointBytes =
-      LastCheckpointBytes.load(std::memory_order_relaxed);
-  Stats.FrontierSpilledNodes =
-      PriorSpilledNodes + (Spill ? Spill->spilledNodes() : 0);
-  Stats.FrontierSpillBytes =
-      PriorSpillBytes + (Spill ? Spill->spilledBytes() : 0);
-  for (const auto &W : Workers) {
-    Stats.Slices += W->Slices.load(std::memory_order_relaxed);
-    Stats.Terminals += W->Terminals.load(std::memory_order_relaxed);
-    Stats.StealCount += W->StealCount.load(std::memory_order_relaxed);
-    Stats.ContentionNs += W->ContentionNs.load(std::memory_order_relaxed);
-    Stats.MaxDepth = std::max(
-        Stats.MaxDepth, W->MaxDepth.load(std::memory_order_relaxed));
+  Stats = snapshotStats();
+  // Work left in a frontier or the spill store (interrupt, MaxNodes,
+  // error stop) means the search is not exhausted *yet* — but unlike a
+  // depth cut it is recoverable, so it must not poison the Exhausted
+  // flag that the final checkpoint persisted for the resumed run.
+  Stats.Exhausted = Stats.Exhausted && Stats.FrontierNodes == 0;
+  Stats.FrontierNodes = 0; // A progress-callback signal only.
+  for (const auto &W : Workers)
     Result.TerminalHashes.insert(Result.TerminalHashes.end(),
                                  W->TerminalHashes.begin(),
                                  W->TerminalHashes.end());
-  }
   // Worker-count-independent order for the (set-valued) terminal list.
   std::sort(Result.TerminalHashes.begin(), Result.TerminalHashes.end());
-  Stats.VisitedBytes = visitedBytes();
-  Stats.OmissionPossible = Omission.load(std::memory_order_relaxed);
-  Stats.HashMismatches = HashMismatches.load(std::memory_order_relaxed);
   Stats.PeakRssBytes = peakRssBytes();
 
   if (ProfileOn) {
@@ -2015,6 +2018,7 @@ CheckResult ParallelSearch::run() {
 
 CheckResult p::runParallelSearch(const CompiledProgram &Prog,
                                  const CheckOptions &Opts, Executor *Exec) {
-  ParallelSearch S(Prog, Opts, Exec);
-  return S.run();
+  // On the heap: 1024 stripes in each of two tables and 1024 Exact
+  // shards are too large for a caller's stack.
+  return std::make_unique<ParallelSearch>(Prog, Opts, Exec)->run();
 }

@@ -10,6 +10,14 @@
 /// dominating budget?" and "is its configuration new?". The terminal
 /// set is a second, always-growable instance used as a plain set.
 ///
+/// The table has NumStripes = 1024 stripes, each a slot array behind
+/// its own mutex on its own cache line. With that many, a stripe
+/// doubling under its lock stalls a worker that probes it about once
+/// in 1024 probes rather than once in 64. On German(2) d=4 with 4
+/// workers, 256 stripes were slower and 4096 no faster but larger (see
+/// DESIGN.md). A new growable table has 4 slots per stripe: 4096
+/// slots, 64 KiB.
+///
 /// A 16-byte slot holds a full 64-bit configuration hash and one word:
 /// a node tag (the scheduler suffix folded into that hash; its top
 /// TagBits bits) above a budget field (delays spent, or depth in a
@@ -71,10 +79,10 @@ struct VisitedImage {
 
 class VisitedTable {
 public:
-  static constexpr unsigned StripeBits = 6;
+  static constexpr unsigned StripeBits = 10;
   static constexpr unsigned NumStripes = 1u << StripeBits;
   /// Slots per stripe of a new growable table (and the bounded floor).
-  static constexpr uint64_t InitialStripeSlots = 64;
+  static constexpr uint64_t InitialStripeSlots = 4;
   /// A growable stripe doubles once used/capacity exceeds this.
   static constexpr uint64_t MaxLoadNum = 3, MaxLoadDen = 4;
   /// Probe window of a bounded table.

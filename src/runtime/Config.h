@@ -37,10 +37,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#if __has_include(<sys/single_threaded.h>)
+#include <sys/single_threaded.h>
+#endif
 
 namespace p {
 
@@ -136,6 +140,16 @@ struct MachineState {
 /// fingerprint either way. Reads go through `operator*`/`operator->`
 /// and never clone.
 ///
+/// The snapshot carries its own reference count (one allocation, no
+/// control block). A copy increments it relaxed; a release decrements
+/// it acq_rel and deletes at 1, so every holder's reads happen before
+/// the delete. `mut()` decides the snapshot is unique with an acquire
+/// load (as Rust's `Arc::get_mut` does): reading 1 orders the in-place
+/// write after the last read by any holder that has since let go, on
+/// any thread. Until a process starts its second thread, the count
+/// changes without a locked instruction, as libstdc++'s shared_ptr
+/// does; a serial search copies Configs several times per node.
+///
 /// Thread-safety: a snapshot shared between configurations owned by
 /// different checker workers is never mutated (mut() unshares first),
 /// and the fingerprint cache slot is atomic, so concurrent fingerprint
@@ -143,9 +157,21 @@ struct MachineState {
 /// called by the thread that owns the enclosing Config.
 class CowMachine {
 public:
-  CowMachine() : Snap(std::make_shared<Snapshot>()) {}
-  explicit CowMachine(MachineState S)
-      : Snap(std::make_shared<Snapshot>(std::move(S))) {}
+  CowMachine() : Snap(new Snapshot()) {}
+  explicit CowMachine(MachineState S) : Snap(new Snapshot(std::move(S))) {}
+  CowMachine(const CowMachine &O) : Snap(O.Snap) {
+    if (singleThreaded())
+      Snap->Count.store(Snap->Count.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
+    else
+      Snap->Count.fetch_add(1, std::memory_order_relaxed);
+  }
+  CowMachine(CowMachine &&O) noexcept : Snap(O.Snap) { O.Snap = nullptr; }
+  CowMachine &operator=(CowMachine O) noexcept {
+    std::swap(Snap, O.Snap);
+    return *this;
+  }
+  ~CowMachine() { release(); }
 
   const MachineState &operator*() const { return Snap->S; }
   const MachineState *operator->() const { return &Snap->S; }
@@ -153,8 +179,10 @@ public:
   /// Clone-before-mutate: unshares the snapshot if any other Config
   /// still points at it, and invalidates the cached fingerprint.
   MachineState &mut() {
-    if (Snap.use_count() != 1) {
-      Snap = std::make_shared<Snapshot>(Snap->S); // caches not copied
+    if (Snap->Count.load(std::memory_order_acquire) != 1) {
+      Snapshot *Clone = new Snapshot(Snap->S); // caches not copied
+      release();
+      Snap = Clone;
     } else {
       Snap->Fp.store(0, std::memory_order_relaxed);
       Snap->Refs.store(0, std::memory_order_relaxed);
@@ -190,7 +218,7 @@ public:
     return Snap == O.Snap;
   }
   /// Stable identity of the underlying snapshot allocation.
-  const void *snapshotKey() const { return Snap.get(); }
+  const void *snapshotKey() const { return Snap; }
   /// Heap bytes owned by this snapshot (counted once across sharers).
   uint64_t snapshotBytes() const;
 
@@ -207,11 +235,42 @@ private:
     Snapshot(const Snapshot &O) : S(O.S) {}
     Snapshot &operator=(const Snapshot &) = delete;
 
+    /// Handles sharing this snapshot. First, so mut()'s check shares a
+    /// cache line with the start of the state it hands out.
+    std::atomic<uint32_t> Count{1};
     MachineState S;
     mutable std::atomic<uint64_t> Fp{0};
     mutable std::atomic<uint64_t> Refs{0};
   };
-  std::shared_ptr<Snapshot> Snap;
+
+  /// True while the process has one thread, so no other thread can
+  /// hold a reference (glibc clears the flag before a second thread
+  /// starts).
+  static bool singleThreaded() {
+#if __has_include(<sys/single_threaded.h>)
+    return __libc_single_threaded;
+#else
+    return false;
+#endif
+  }
+
+  /// Drops this handle's reference; the last one deletes the snapshot.
+  void release() {
+    if (!Snap)
+      return;
+    if (singleThreaded()) {
+      const uint32_t N = Snap->Count.load(std::memory_order_relaxed);
+      if (N != 1) {
+        Snap->Count.store(N - 1, std::memory_order_relaxed);
+        return;
+      }
+    } else if (Snap->Count.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      return;
+    }
+    delete Snap;
+  }
+
+  Snapshot *Snap;
 };
 
 inline uint64_t CowMachine::snapshotBytes() const {

@@ -525,8 +525,8 @@ Value evalBinary(BinaryOp Op, const Value &L, const Value &R) {
 
 Executor::InstrResult Executor::execInstr(Config &Cfg, int32_t Id) const {
   // The COW clone for this slice: the first mut() on a shared snapshot
-  // copies it; every later one on the same (now unique) snapshot is a
-  // use_count check. References into the snapshot stay valid across
+  // copies it; every later one on the same (now unique) snapshot is one
+  // acquire load of its reference count. References into the snapshot stay valid across
   // Cfg.Machines growth because snapshots live on the heap.
   MachineState &M = Cfg.Machines[Id].mut();
   const MachineInfo &Info = Prog.Machines[M.MachineIndex];

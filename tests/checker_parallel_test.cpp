@@ -20,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 using namespace p;
 
@@ -242,6 +245,62 @@ TEST(ParallelChecker, DepthCutSearchExploresTheWholeBall) {
   CheckResult Full = Run(100000, 1, VisitedMode::Fingerprint);
   ASSERT_TRUE(Full.Stats.Exhausted);
   EXPECT_EQ(Prev, Full.Stats.DistinctStates);
+}
+
+TEST(ParallelChecker, TerminationStressEndsExhaustedWithSerialCounts) {
+  // Workers go idle and busy again many times per run; a run that ends
+  // while some node is still pending misses states, and one whose busy
+  // count never drains hangs. Both must be ruled out at every worker
+  // count, including more workers than cores.
+  const std::pair<const char *, std::string> Programs[] = {
+      {"german1", corpus::german(1)},
+      {"elevator", corpus::elevator()},
+      {"switchled", corpus::switchLed()},
+  };
+  for (const auto &[Name, Source] : Programs) {
+    CompiledProgram Prog = compile(Source);
+    const CheckResult Serial = runWith(Prog, 1, 2, false);
+    ASSERT_TRUE(Serial.Stats.Exhausted) << Name;
+    for (int W : {2, 3, 4, 8})
+      for (int Run = 0; Run != 20; ++Run) {
+        const CheckResult Par = runWith(Prog, W, 2, false);
+        ASSERT_TRUE(Par.Stats.Exhausted)
+            << Name << " w=" << W << " run " << Run;
+        ASSERT_EQ(Par.Stats.DistinctStates, Serial.Stats.DistinctStates)
+            << Name << " w=" << W << " run " << Run;
+      }
+  }
+}
+
+TEST(ParallelChecker, HeartbeatSeesFrontierAndMaxNodesCutIsNotExhausted) {
+  CompiledProgram Prog = compile(corpus::german(2));
+  CheckOptions Opts;
+  Opts.DelayBound = 2;
+  Opts.Workers = 4;
+  Opts.StopOnFirstError = false;
+  Opts.ProgressIntervalSeconds = 0.001;
+  std::vector<CheckStats> Beats;
+  Opts.Progress = [&](const CheckStats &S) { Beats.push_back(S); };
+  const CheckResult Full = check(Prog, Opts);
+  ASSERT_TRUE(Full.Stats.Exhausted);
+  ASSERT_FALSE(Beats.empty()) << "no heartbeat fired";
+  // Mid-run, nodes wait in the workers' frontiers; the heartbeat sums
+  // them without taking a frontier lock.
+  uint64_t MaxFrontier = 0;
+  for (const CheckStats &S : Beats) {
+    EXPECT_EQ(S.WorkersUsed, 4);
+    MaxFrontier = std::max(MaxFrontier, S.FrontierNodes);
+  }
+  EXPECT_GT(MaxFrontier, 0u);
+  EXPECT_EQ(Full.Stats.FrontierNodes, 0u);
+
+  // A MaxNodes cut leaves work pending, so the run is not exhausted.
+  Opts.Progress = nullptr;
+  Opts.MaxNodes = Full.Stats.NodesExplored / 4;
+  const CheckResult Cut = check(Prog, Opts);
+  EXPECT_FALSE(Cut.Stats.Exhausted);
+  EXPECT_GE(Cut.Stats.NodesExplored, Opts.MaxNodes);
+  EXPECT_LT(Cut.Stats.DistinctStates, Full.Stats.DistinctStates);
 }
 
 } // namespace

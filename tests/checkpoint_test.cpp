@@ -257,10 +257,12 @@ TEST(Checkpoint, InterruptFlagStopsSearchAndCheckpointCompletes) {
   expectIdentical(Baseline, Resumed, "interrupt-resume");
 }
 
-TEST(Checkpoint, SpilledFrontierMatchesInMemory) {
-  // german(1)'s DFS frontier never reaches the spill floor (the store
-  // keeps a minimum resident working set); german(2) at d=1 spills
-  // thousands of nodes in well under a second.
+/// German(2) at d=1 with the frontier spilled to disk by \p Workers
+/// workers must match the serial in-memory baseline. german(1)'s DFS
+/// frontier never reaches the spill floor (the store keeps a minimum
+/// resident working set); german(2) at d=1 spills thousands of nodes in
+/// well under a second.
+void spillMatchesInMemory(int Workers) {
   CompiledProgram Prog = compile(corpus::german(2));
   CheckOptions Base = baseOpts(1, VisitedMode::Fingerprint, Reduction::Off);
   Base.DelayBound = 1;
@@ -268,6 +270,7 @@ TEST(Checkpoint, SpilledFrontierMatchesInMemory) {
 
   TempCkpt C("spill");
   CheckOptions Spill = Base;
+  Spill.Workers = Workers;
   Spill.CheckpointPath = C.Path; // Spill file lands next to it.
   // A 1-byte cap means "spill whenever the resident floor allows": the
   // engine keeps a minimum working set in memory and pushes every cold
@@ -277,20 +280,22 @@ TEST(Checkpoint, SpilledFrontierMatchesInMemory) {
   ASSERT_TRUE(Spilled.ResumeError.empty());
   EXPECT_GT(Spilled.Stats.FrontierSpilledNodes, 0u);
   EXPECT_GT(Spilled.Stats.FrontierSpillBytes, 0u);
+  EXPECT_EQ(Spilled.ErrorFound, Baseline.ErrorFound);
   expectIdentical(Baseline, Spilled, "spill-differential");
 }
 
-TEST(Checkpoint, KillAndResumeWithSpillActive) {
+/// Cuts a spilling run of \p Workers workers mid-flight while cold
+/// frontier segments sit on disk: the final checkpoint must embed the
+/// spilled nodes too (snapshot()), or the resume comes up short.
+void killAndResumeWithSpill(int Workers) {
   CompiledProgram Prog = compile(corpus::german(2));
   CheckOptions Base = baseOpts(1, VisitedMode::Fingerprint, Reduction::Off);
   Base.DelayBound = 1;
   CheckResult Baseline = check(Prog, Base);
 
-  // Cut mid-flight while cold frontier segments sit on disk: the final
-  // checkpoint must embed the spilled nodes too (snapshot()), or the
-  // resume comes up short.
   TempCkpt C("spillkr");
   CheckOptions Cut = Base;
+  Cut.Workers = Workers;
   Cut.CheckpointPath = C.Path;
   Cut.FrontierMemLimitBytes = 1;
   Cut.MaxNodes = Baseline.Stats.NodesExplored / 3;
@@ -300,10 +305,27 @@ TEST(Checkpoint, KillAndResumeWithSpillActive) {
   EXPECT_GT(Partial.Stats.FrontierSpilledNodes, 0u);
 
   CheckOptions Res = Base;
+  Res.Workers = Workers;
   Res.CheckpointPath = C.Path;
+  Res.FrontierMemLimitBytes = 1;
   Res.Resume = true;
   CheckResult Resumed = check(Prog, Res);
+  EXPECT_EQ(Resumed.ErrorFound, Baseline.ErrorFound);
   expectIdentical(Baseline, Resumed, "spill-kill-resume");
+}
+
+TEST(Checkpoint, SpilledFrontierMatchesInMemory) { spillMatchesInMemory(1); }
+
+TEST(Checkpoint, SpilledFrontierMatchesInMemoryAt4Workers) {
+  // Workers go idle and steal while segments sit on disk; the busy
+  // count must not end the run before every segment is reloaded.
+  spillMatchesInMemory(4);
+}
+
+TEST(Checkpoint, KillAndResumeWithSpillActive) { killAndResumeWithSpill(1); }
+
+TEST(Checkpoint, KillAndResumeWithSpillActiveAt4Workers) {
+  killAndResumeWithSpill(4);
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,10 +389,12 @@ TEST(CheckpointCorruption, StaleFormatVersionIsRejected) {
   // not table images; version 2 stored no depths for depth-bounded
   // runs; version 3 keys were hashed from the serialized bytes, not
   // streamed; version 4 stored separate node-dedup and distinct-state
-  // images; version 5 stored sleep sets and sleep masks) or a newer
-  // one: the load must fail on the version, not misparse the payload.
-  ASSERT_GT(ckpt::FormatVersion, 5u);
-  for (uint32_t Forged : {1u, 2u, 3u, 4u, 5u, ckpt::FormatVersion + 7}) {
+  // images; version 5 stored sleep sets and sleep masks; version 6
+  // stored 64 visited stripes, not 1024) or a newer one: the load must
+  // fail on the version, not on a stripe-count mismatch or a misparse.
+  ASSERT_GT(ckpt::FormatVersion, 6u);
+  for (uint32_t Forged :
+       {1u, 2u, 3u, 4u, 5u, 6u, ckpt::FormatVersion + 7}) {
     for (int I = 0; I != 4; ++I)
       Bytes[8 + I] = static_cast<char>((Forged >> (8 * I)) & 0xff);
     const uint32_t Crc = ckpt::crc32(Bytes.data(), Bytes.size() - 4);
