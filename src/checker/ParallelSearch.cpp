@@ -14,6 +14,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Hashing.h"
+#include "support/RefCount.h"
 
 #include <algorithm>
 #include <array>
@@ -28,6 +29,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -43,35 +45,48 @@ using namespace p;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Trace arena
+// Trace tree
 //===----------------------------------------------------------------------===//
-
-/// Trace references pack (worker, index into that worker's arena): nodes
-/// migrate between workers when stolen, so a node's decision chain can
-/// cross arenas.
-constexpr uint64_t NoTraceRef = ~0ull;
-constexpr unsigned TraceIndexBits = 48;
-
-uint64_t packTraceRef(unsigned Worker, size_t Index) {
-  return (static_cast<uint64_t>(Worker) << TraceIndexBits) |
-         static_cast<uint64_t>(Index);
-}
-unsigned traceWorker(uint64_t Ref) {
-  return static_cast<unsigned>(Ref >> TraceIndexBits);
-}
-size_t traceIndex(uint64_t Ref) {
-  return static_cast<size_t>(Ref & ((1ull << TraceIndexBits) - 1));
-}
 
 /// One decision along an admitted path, packed by packDecision. Text
 /// is not stored: a counterexample's lines are rendered by re-executing
-/// its schedule.
+/// its schedule. An entry never changes after it is made; it lives
+/// while a node or a child entry holds it.
 constexpr uint64_t NoDecision = ~0ull;
 struct TraceEntry {
-  uint64_t Parent = NoTraceRef;
-  uint64_t Decision = NoDecision;
+  RefCount Refs;
+  uint64_t Decision;
+  TraceEntry *Parent; ///< Holds one reference; nullptr at the root.
 };
-static_assert(sizeof(TraceEntry) == 16);
+
+/// A node's hold on its committed decision chain.
+class TraceRef {
+public:
+  TraceRef() = default;
+  TraceRef(const TraceRef &O) : E(O.E) {
+    if (E)
+      E->Refs.retain();
+  }
+  TraceRef(TraceRef &&O) noexcept : E(std::exchange(O.E, nullptr)) {}
+  TraceRef &operator=(TraceRef O) noexcept {
+    std::swap(E, O.E);
+    return *this;
+  }
+  /// Releases in a loop, not by recursion: a chain is as long as the
+  /// deepest path.
+  ~TraceRef() {
+    while (E && E->Refs.release())
+      delete std::exchange(E, E->Parent);
+  }
+
+  /// Appends \p Decision; the new entry takes over this hold as its
+  /// Parent.
+  void extend(uint64_t Decision) { E = new TraceEntry{{}, Decision, E}; }
+  const TraceEntry *get() const { return E; }
+
+private:
+  TraceEntry *E = nullptr;
+};
 
 /// A node of the schedule tree.
 struct Node {
@@ -86,7 +101,7 @@ struct Node {
   /// for the root. Attribution metadata — never part of a dedup key or
   /// serialization, so it cannot change what is explored.
   int32_t ByType = -1;
-  uint64_t TraceIdx = NoTraceRef; ///< The committed decision chain.
+  TraceRef Trace; ///< The committed decision chain.
   /// The packed decision that made this node; see commitTrace.
   uint64_t Pending = NoDecision;
 };
@@ -207,9 +222,6 @@ struct Worker {
   /// heartbeat and the spill trigger can read it without the lock.
   std::atomic<uint64_t> FrontierSize{0};
 
-  std::mutex ArenaMu;
-  std::deque<TraceEntry> Arena;
-
   std::string Buf; ///< Reusable serialization buffer (Exact keys).
 
   // Symmetry-reduction scratch (Reduction::Symmetry).
@@ -291,32 +303,23 @@ private:
     return std::min(N, 256u);
   }
 
-  /// Appends \p N's pending decision to \p W's arena. Only admitted and
-  /// branching nodes commit, so pruned ones write nothing.
-  void commitTrace(Worker &W, Node &N) {
+  /// Commits \p N's pending decision to its chain. Only admitted and
+  /// branching nodes commit, so pruned ones allocate nothing.
+  static void commitTrace(Node &N) {
     if (N.Pending == NoDecision)
       return;
-    std::lock_guard<std::mutex> L(W.ArenaMu);
-    W.Arena.push_back({N.TraceIdx, N.Pending});
-    N.TraceIdx = packTraceRef(W.Id, W.Arena.size() - 1);
+    N.Trace.extend(N.Pending);
     N.Pending = NoDecision;
   }
 
   /// \p N's schedule from the root: the committed chain, then Pending.
-  std::vector<SchedDecision> materializeSchedule(const Node &N) {
+  /// No lock: \p N holds its chain, and entries never change.
+  static std::vector<SchedDecision> materializeSchedule(const Node &N) {
     std::vector<SchedDecision> Out;
     if (N.Pending != NoDecision)
       Out.push_back(unpackDecision(N.Pending));
-    for (uint64_t Ref = N.TraceIdx; Ref != NoTraceRef;) {
-      Worker &W = *Workers[traceWorker(Ref)];
-      TraceEntry E;
-      {
-        std::lock_guard<std::mutex> L(W.ArenaMu);
-        E = W.Arena[traceIndex(Ref)];
-      }
-      Out.push_back(unpackDecision(E.Decision));
-      Ref = E.Parent;
-    }
+    for (const TraceEntry *E = N.Trace.get(); E; E = E->Parent)
+      Out.push_back(unpackDecision(E->Decision));
     std::reverse(Out.begin(), Out.end());
     return Out;
   }
@@ -509,7 +512,7 @@ private:
       setOnce(Exhausted, false);
       return false;
     }
-    commitTrace(W, N);
+    commitTrace(N);
     return true;
   }
 
@@ -759,7 +762,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   ckpt::FrontierNode toFrontierNode(const Node &N);
-  Node fromFrontierNode(Worker &W, ckpt::FrontierNode &&F);
+  static Node fromFrontierNode(ckpt::FrontierNode &&F);
   void requestCheckpoint();
   void checkpointBarrier(Worker &W);
   void workerExited();
@@ -1021,7 +1024,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
   }
   case Executor::StepOutcome::ChoicePoint: {
     // Branch on the `*`: two children, the same machine resumes.
-    commitTrace(W, N);
+    commitTrace(N);
     N.MustRun = Id;
     SchedDecision ChooseTrue, ChooseFalse;
     ChooseTrue.K = ChooseFalse.K = SchedDecision::Kind::Choose;
@@ -1061,7 +1064,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
     // Stopped at a foreign call (fault points on): branch on whether
     // the environment fails it, like a `*` choice, except the failing
     // branch costs one fault. The same machine resumes either way.
-    commitTrace(W, N);
+    commitTrace(N);
     N.MustRun = Id;
     if (Opts.Faults.FailForeign && N.FaultsUsed < Opts.Faults.Budget) {
       Node FailChild = N; // copy: O(#machines) snapshot pointer bumps
@@ -1415,13 +1418,13 @@ ckpt::FrontierNode ParallelSearch::toFrontierNode(const Node &N) {
   F.Depth = N.Depth;
   F.MustRun = N.MustRun;
   F.ByType = N.ByType;
-  // Decisions from the root, so the node survives outside this
-  // process's trace arenas.
+  // Decisions from the root, so the node survives without its chain,
+  // which this node's destruction may free.
   F.Schedule = materializeSchedule(N);
   return F;
 }
 
-Node ParallelSearch::fromFrontierNode(Worker &W, ckpt::FrontierNode &&F) {
+Node ParallelSearch::fromFrontierNode(ckpt::FrontierNode &&F) {
   Node N;
   N.Cfg = std::move(F.Cfg);
   for (auto It = F.Sched.rbegin(); It != F.Sched.rend(); ++It)
@@ -1431,11 +1434,11 @@ Node ParallelSearch::fromFrontierNode(Worker &W, ckpt::FrontierNode &&F) {
   N.Depth = F.Depth;
   N.MustRun = F.MustRun;
   N.ByType = F.ByType;
-  // Rebuild the decision chain in W's arena so a counterexample found
-  // below this node still materializes a complete schedule; the last
-  // decision stays pending, as it was when the node was captured.
+  // Rebuild the decision chain so a counterexample found below this
+  // node still materializes a complete schedule; the last decision
+  // stays pending, as it was when the node was captured.
   for (const SchedDecision &D : F.Schedule) {
-    commitTrace(W, N);
+    commitTrace(N);
     N.Pending = packDecision(D);
   }
   return N;
@@ -1669,7 +1672,7 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
   size_t Next = 0;
   for (ckpt::FrontierNode &FN : D.Frontier) {
     Worker &W = *Workers[NumWorkers == 1 ? 0 : Next++ % NumWorkers];
-    W.Frontier.push_back(fromFrontierNode(W, std::move(FN)));
+    W.Frontier.push_back(fromFrontierNode(std::move(FN)));
   }
   for (const auto &W : Workers)
     noteSize(*W);
@@ -1739,13 +1742,13 @@ bool ParallelSearch::tryReloadSpill(Worker &W, Node &N) {
   }
   // The youngest node of the segment comes back in hand; the rest
   // rejoin the in-memory frontier.
-  Node Last = fromFrontierNode(W, std::move(Seg.back()));
+  Node Last = fromFrontierNode(std::move(Seg.back()));
   Seg.pop_back();
   if (!Seg.empty()) {
     std::vector<Node> Rest;
     Rest.reserve(Seg.size());
     for (ckpt::FrontierNode &FN : Seg)
-      Rest.push_back(fromFrontierNode(W, std::move(FN)));
+      Rest.push_back(fromFrontierNode(std::move(FN)));
     auto L = lockTimed(W.FrontierMu, &W.ContentionNs);
     for (Node &B : Rest)
       W.Frontier.push_back(std::move(B));

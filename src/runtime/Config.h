@@ -34,6 +34,7 @@
 
 #include "runtime/Errors.h"
 #include "runtime/Value.h"
+#include "support/RefCount.h"
 
 #include <atomic>
 #include <cstdint>
@@ -41,10 +42,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#if __has_include(<sys/single_threaded.h>)
-#include <sys/single_threaded.h>
-#endif
 
 namespace p {
 
@@ -141,14 +138,10 @@ struct MachineState {
 /// and never clone.
 ///
 /// The snapshot carries its own reference count (one allocation, no
-/// control block). A copy increments it relaxed; a release decrements
-/// it acq_rel and deletes at 1, so every holder's reads happen before
-/// the delete. `mut()` decides the snapshot is unique with an acquire
-/// load (as Rust's `Arc::get_mut` does): reading 1 orders the in-place
-/// write after the last read by any holder that has since let go, on
-/// any thread. Until a process starts its second thread, the count
-/// changes without a locked instruction, as libstdc++'s shared_ptr
-/// does; a serial search copies Configs several times per node.
+/// control block; see support/RefCount.h for the memory orders). `mut()`
+/// writes in place only when RefCount::unique() says no other holder
+/// is left. A serial search copies Configs several times per node, so
+/// the count takes no locked instruction until a second thread starts.
 ///
 /// Thread-safety: a snapshot shared between configurations owned by
 /// different checker workers is never mutated (mut() unshares first),
@@ -159,13 +152,7 @@ class CowMachine {
 public:
   CowMachine() : Snap(new Snapshot()) {}
   explicit CowMachine(MachineState S) : Snap(new Snapshot(std::move(S))) {}
-  CowMachine(const CowMachine &O) : Snap(O.Snap) {
-    if (singleThreaded())
-      Snap->Count.store(Snap->Count.load(std::memory_order_relaxed) + 1,
-                        std::memory_order_relaxed);
-    else
-      Snap->Count.fetch_add(1, std::memory_order_relaxed);
-  }
+  CowMachine(const CowMachine &O) : Snap(O.Snap) { Snap->Count.retain(); }
   CowMachine(CowMachine &&O) noexcept : Snap(O.Snap) { O.Snap = nullptr; }
   CowMachine &operator=(CowMachine O) noexcept {
     std::swap(Snap, O.Snap);
@@ -179,7 +166,7 @@ public:
   /// Clone-before-mutate: unshares the snapshot if any other Config
   /// still points at it, and invalidates the cached fingerprint.
   MachineState &mut() {
-    if (Snap->Count.load(std::memory_order_acquire) != 1) {
+    if (!Snap->Count.unique()) {
       Snapshot *Clone = new Snapshot(Snap->S); // caches not copied
       release();
       Snap = Clone;
@@ -237,37 +224,16 @@ private:
 
     /// Handles sharing this snapshot. First, so mut()'s check shares a
     /// cache line with the start of the state it hands out.
-    std::atomic<uint32_t> Count{1};
+    RefCount Count;
     MachineState S;
     mutable std::atomic<uint64_t> Fp{0};
     mutable std::atomic<uint64_t> Refs{0};
   };
 
-  /// True while the process has one thread, so no other thread can
-  /// hold a reference (glibc clears the flag before a second thread
-  /// starts).
-  static bool singleThreaded() {
-#if __has_include(<sys/single_threaded.h>)
-    return __libc_single_threaded;
-#else
-    return false;
-#endif
-  }
-
   /// Drops this handle's reference; the last one deletes the snapshot.
   void release() {
-    if (!Snap)
-      return;
-    if (singleThreaded()) {
-      const uint32_t N = Snap->Count.load(std::memory_order_relaxed);
-      if (N != 1) {
-        Snap->Count.store(N - 1, std::memory_order_relaxed);
-        return;
-      }
-    } else if (Snap->Count.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-      return;
-    }
-    delete Snap;
+    if (Snap && Snap->Count.release())
+      delete Snap;
   }
 
   Snapshot *Snap;

@@ -4,23 +4,28 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The search logs one packed decision per admitted or branching node
-// and keeps the decision that produced a node pending until then. These
-// tests pin the packing (every kind round-trips at the boundary ids, an
-// id that does not fit is refused, never truncated) and the schedules
-// built from a committed chain plus a pending decision: counterexamples
-// whose error node hangs below a Delay child, a choice child and a
-// fault child, and one whose error was raised at enqueue time, all
-// replay to the reported error, serial or parallel.
+// The search commits one packed decision per admitted or branching node
+// to a refcounted tree and keeps the decision that produced a node
+// pending until then; an entry is freed when the last node or child
+// entry holding it goes away. These tests pin the packing (every kind
+// round-trips at the boundary ids, an id that does not fit is refused,
+// never truncated) and the schedules built from a committed chain plus
+// a pending decision: counterexamples whose error node hangs below a
+// Delay child, a choice child, a fault child or a node spilled to disk
+// and reloaded, and one whose error was raised at enqueue time, all
+// replay to the reported error, serial or parallel. Searches that stop
+// with nodes still queued must free those nodes' chains too.
 //
 //===----------------------------------------------------------------------===//
 
 #include "checker/Checker.h"
 #include "checker/Replay.h"
+#include "corpus/Corpus.h"
 #include "frontend/Frontend.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -243,6 +248,107 @@ machine Receiver {
   CheckOptions Opts;
   Opts.MaxQueue = 1;
   expectReplays(Prog, Opts, Kind::Run, ErrorKind::QueueOverflow);
+}
+
+/// The schedule as packed words, so a mismatch prints compactly.
+std::vector<uint64_t> packed(const std::vector<SchedDecision> &S) {
+  std::vector<uint64_t> Words;
+  for (const SchedDecision &D : S)
+    Words.push_back(packDecision(D));
+  return Words;
+}
+
+void expectReplaysTo(const CompiledProgram &Prog, const CheckResult &R) {
+  const ReplayResult Replay = replaySchedule(Prog, R.Schedule);
+  ASSERT_TRUE(Replay.ErrorReached);
+  EXPECT_EQ(Replay.Error, R.Error);
+  EXPECT_EQ(Replay.ErrorMessage, R.ErrorMessage);
+}
+
+CompiledProgram buggyGerman() {
+  return compile(
+      corpus::german(2, corpus::GermanBug::SkipOwnerInvalidation));
+}
+
+TEST(TraceLog, CounterexampleBelowSpilledNodesMatchesInMemory) {
+  // A spilled node leaves its chain behind and takes its schedule to
+  // disk; a reloaded one rebuilds a chain from that schedule. Errors
+  // found below reloaded nodes must report the in-memory schedule. At 4
+  // workers the report is the lex-least schedule among those found,
+  // which races in the visited table vary even with no spill (see
+  // DESIGN.md "Determinism contract"), so there it must replay.
+  const CompiledProgram Prog = buggyGerman();
+  CheckOptions Opts;
+  Opts.DelayBound = 1;
+  Opts.StopOnFirstError = false;
+  const CheckResult InMemory = check(Prog, Opts);
+  ASSERT_TRUE(InMemory.ErrorFound);
+  ASSERT_TRUE(InMemory.Stats.Exhausted);
+  for (int Workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    CheckOptions Spill = Opts;
+    Spill.Workers = Workers;
+    // 1 byte: spill every cold half-frontier the resident floor allows.
+    Spill.FrontierMemLimitBytes = 1;
+    Spill.SpillDir = ::testing::TempDir();
+    const CheckResult R = check(Prog, Spill);
+    EXPECT_GT(R.Stats.FrontierSpilledNodes, 0u);
+    ASSERT_TRUE(R.ErrorFound);
+    EXPECT_EQ(R.Error, InMemory.Error);
+    if (Workers == 1)
+      EXPECT_EQ(packed(R.Schedule), packed(InMemory.Schedule));
+    EXPECT_EQ(R.Stats.DistinctStates, InMemory.Stats.DistinctStates);
+    expectReplaysTo(Prog, R);
+  }
+}
+
+TEST(TraceLog, EveryStopPathFreesQueuedChains) {
+  // Each run stops with nodes still in frontiers, each holding a chain
+  // of trace entries. Destroying those nodes must free every entry:
+  // LeakSanitizer, on in the asan-ubsan CI lane (-DP_SANITIZE=ON),
+  // fails this test on one leaked entry. The plain build checks that
+  // each stop is reported as such.
+  const CompiledProgram Clean = compile(corpus::german(2));
+  const CompiledProgram Buggy = buggyGerman();
+  for (int Workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    CheckOptions Opts;
+    Opts.DelayBound = 2;
+    Opts.Workers = Workers;
+    Opts.StopOnFirstError = false;
+
+    CheckOptions Cut = Opts;
+    Cut.MaxNodes = 5000;
+    const CheckResult Capped = check(Clean, Cut);
+    EXPECT_FALSE(Capped.Stats.Exhausted);
+    EXPECT_GE(Capped.Stats.NodesExplored, Cut.MaxNodes);
+    EXPECT_FALSE(Capped.ErrorFound);
+    EXPECT_TRUE(Capped.Schedule.empty());
+
+    CheckOptions First = Opts;
+    First.StopOnFirstError = true;
+    const CheckResult Stopped = check(Buggy, First);
+    ASSERT_TRUE(Stopped.ErrorFound);
+    EXPECT_EQ(Stopped.Error, ErrorKind::AssertFailed);
+    EXPECT_FALSE(Stopped.Stats.Exhausted);
+    expectReplaysTo(Buggy, Stopped);
+
+    // Raised from the heartbeat once the search is under way, so the
+    // frontier is not empty when worker 0 sees the flag.
+    std::atomic<bool> Flag{false};
+    CheckOptions Intr = Opts;
+    Intr.InterruptFlag = &Flag;
+    Intr.ProgressIntervalSeconds = 1e-9;
+    Intr.Progress = [&Flag](const CheckStats &S) {
+      if (S.NodesExplored >= 5000)
+        Flag.store(true, std::memory_order_relaxed);
+    };
+    const CheckResult Interrupted = check(Clean, Intr);
+    EXPECT_TRUE(Interrupted.Stats.Interrupted);
+    EXPECT_FALSE(Interrupted.Stats.Exhausted);
+    EXPECT_GE(Interrupted.Stats.NodesExplored, 5000u);
+    EXPECT_FALSE(Interrupted.ErrorFound);
+  }
 }
 
 } // namespace
