@@ -226,13 +226,16 @@ int main(int argc, char **argv) {
     if (Profile)
       std::fprintf(stderr, "%s", R.Profile.str(Prog).c_str());
     std::printf("german clients=%d d=%d mode=%s workers=%d reduction=%s "
-                "states=%llu nodes=%llu collapsed=%llu "
+                "states=%llu nodes=%llu slices=%llu interpreted=%llu "
+                "collapsed=%llu "
                 "seconds=%.3f visited_bytes=%llu "
                 "peak_rss_bytes=%llu omission=%d error=%s\n",
                 Clients, Delay, visitedModeName(Visited), Workers,
                 reductionName(Reduce),
                 static_cast<unsigned long long>(R.Stats.DistinctStates),
                 static_cast<unsigned long long>(R.Stats.NodesExplored),
+                static_cast<unsigned long long>(R.Stats.Slices),
+                static_cast<unsigned long long>(R.Stats.SlicesInterpreted),
                 static_cast<unsigned long long>(R.Stats.SymmetryCollapsed),
                 R.Stats.Seconds,
                 static_cast<unsigned long long>(R.Stats.VisitedBytes),

@@ -168,11 +168,15 @@ struct CheckOptions {
   /// Compact mode only: byte budget of the visited table (rounded down
   /// to whole slots). 0 picks a 64 MiB default.
   uint64_t VisitedCapBytes = 0;
-  /// Debug: on every node, cross-check the incremental (cached) config
-  /// hash against a cache-oblivious recomputation from the full
-  /// serialization; mismatches are counted in CheckStats::HashMismatches
-  /// and indicate a missing CowMachine::mut() call. Also enabled by
-  /// setting the P_VERIFY_HASHES environment variable.
+  /// Debug: the oracle for every cache the search keeps. On every node,
+  /// cross-check the incremental (cached) config hash against a
+  /// cache-oblivious recomputation from the full serialization; and
+  /// interpret every slice-memo hit again on a copy, comparing the
+  /// machines, the error fields, OverflowDropped and the StepResult.
+  /// Mismatches are counted in CheckStats::HashMismatches and indicate
+  /// a missing CowMachine::mut() call or a slice the memo must not
+  /// reuse. Also enabled by setting the P_VERIFY_HASHES environment
+  /// variable.
   bool VerifyHashes = false;
   /// Micro-step budget per slice before the divergence error fires.
   uint64_t MaxStepsPerSlice = 100000;
@@ -330,6 +334,10 @@ struct CheckStats {
   uint64_t DistinctStates = 0; ///< Distinct global configurations seen.
   uint64_t NodesExplored = 0;  ///< Search nodes expanded.
   uint64_t Slices = 0;         ///< Scheduled run-to-scheduling-point slices.
+  /// Slices the interpreter ran; the other Slices - SlicesInterpreted
+  /// came from the per-worker slice memo (checker/SliceMemo.h). Counts
+  /// this process only: a resumed run starts it at 0.
+  uint64_t SlicesInterpreted = 0;
   uint64_t Terminals = 0;      ///< Distinct quiescent configurations.
   uint64_t ErrorsFound = 0;
   int MaxDepth = 0;
@@ -360,9 +368,10 @@ struct CheckStats {
   /// peak; 0 where unavailable. Includes everything resident during the
   /// run, not just the visited set.
   uint64_t PeakRssBytes = 0;
-  /// Incremental-vs-fresh hash cross-check failures (VerifyHashes /
-  /// P_VERIFY_HASHES only; must be 0 — anything else is a COW
-  /// invalidation bug).
+  /// Cache cross-check failures (VerifyHashes / P_VERIFY_HASHES only):
+  /// incremental-vs-fresh hashes and slice-memo hits that differ from
+  /// the interpreter. Must be 0 — anything else is a COW invalidation
+  /// or memo bug.
   uint64_t HashMismatches = 0;
   /// Symmetry reduction (Reduction::Symmetry): nodes pruned under
   /// a non-identity canonical permutation, i.e. recognized as permuted

@@ -9,6 +9,7 @@
 #include "checker/Checkpoint.h"
 #include "checker/FrontierStore.h"
 #include "checker/SchedStack.h"
+#include "checker/SliceMemo.h"
 #include "checker/StateHash.h"
 #include "checker/VisitedTable.h"
 #include "obs/Metrics.h"
@@ -215,6 +216,7 @@ struct Worker {
 
   unsigned Id;
   Executor Exec; ///< Own copy: observer callbacks stay thread-local.
+  std::unique_ptr<SliceMemo> Memo; ///< Runs every slice of this worker.
 
   std::mutex FrontierMu;
   std::deque<Node> Frontier;
@@ -244,6 +246,7 @@ struct Worker {
   std::atomic<uint64_t> SymmetryCollapsed{0};
   std::atomic<uint64_t> FaultsInjected{0};
   std::atomic<uint64_t> Slices{0};
+  std::atomic<uint64_t> SlicesInterpreted{0};
   std::atomic<uint64_t> Terminals{0};
   std::atomic<uint64_t> StealCount{0};
   std::atomic<uint64_t> ContentionNs{0};
@@ -612,6 +615,8 @@ private:
           W->SymmetryCollapsed.load(std::memory_order_relaxed);
       S.FaultsInjected += W->FaultsInjected.load(std::memory_order_relaxed);
       S.Slices += W->Slices.load(std::memory_order_relaxed);
+      S.SlicesInterpreted +=
+          W->SlicesInterpreted.load(std::memory_order_relaxed);
       S.Terminals += W->Terminals.load(std::memory_order_relaxed);
       S.StealCount += W->StealCount.load(std::memory_order_relaxed);
       S.ContentionNs += W->ContentionNs.load(std::memory_order_relaxed);
@@ -988,7 +993,10 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
     SliceType = N.Cfg.Machines[Id]->MachineIndex;
     SliceT0 = std::chrono::steady_clock::now();
   }
-  Executor::StepResult R = W.Exec.step(N.Cfg, Id);
+  bool Interpreted = true;
+  Executor::StepResult R = W.Memo->run(N.Cfg, Id, Interpreted);
+  if (Interpreted)
+    W.SlicesInterpreted.fetch_add(1, std::memory_order_relaxed);
   if (ProfileOn) {
     const uint64_t Ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -996,6 +1004,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
             .count();
     obs::MachineProfile &Row = W.Prof.Machines[W.Prof.rowOf(SliceType)];
     Row.Slices += 1;
+    Row.SlicesInterpreted += Interpreted;
     Row.SliceNs += Ns;
     W.Prof.SliceSeconds.observe(static_cast<double>(Ns) * 1e-9);
     // Every child of this slice — and the node keyed from its result —
@@ -1030,9 +1039,9 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
     ChooseTrue.K = ChooseFalse.K = SchedDecision::Kind::Choose;
     ChooseTrue.Choice = true;
     Node TrueChild = N; // copy: O(#machines) snapshot pointer bumps
-    TrueChild.Cfg.mutableMachine(Id).InjectedChoice = true;
+    W.Memo->choose(TrueChild.Cfg, Id, true);
     TrueChild.Pending = packDecision(ChooseTrue);
-    N.Cfg.mutableMachine(Id).InjectedChoice = false;
+    W.Memo->choose(N.Cfg, Id, false);
     N.Pending = packDecision(ChooseFalse);
     pushNode(W, std::move(TrueChild));
     pushNode(W, std::move(N));
@@ -1788,6 +1797,10 @@ CheckResult ParallelSearch::run() {
     W->Exec.setTraceSink(W->Trace);
     W->Exec.setForeignFaultPoints(Opts.Faults.enabled() &&
                                   Opts.Faults.FailForeign);
+    // Before the coverage and profile observers: a hit repeats a slice
+    // this worker already ran through them (see SliceMemo.h).
+    W->Memo = std::make_unique<SliceMemo>(
+        W->Exec, DoVerifyHashes ? &HashMismatches : nullptr);
     if (Opts.TrackCoverage) {
       W->Coverage.Machines.resize(Prog.Machines.size());
       W->Exec.addDispatchObserver([W](int32_t Type, int32_t State,
@@ -1924,8 +1937,11 @@ CheckResult ParallelSearch::run() {
     // deterministic stats (states) merge deterministically; node-side
     // splits inherit the scheduling races CheckStats documents.
     Result.Profile.init(Prog.Machines.size());
-    for (const auto &W : Workers)
+    for (const auto &W : Workers) {
+      W->Prof.MemoEntries = W->Memo->entries();
+      W->Prof.MemoBytes = W->Memo->heldBytes();
       Result.Profile.merge(W->Prof);
+    }
   }
 
   if (Opts.TrackCoverage) {
@@ -1964,6 +1980,9 @@ CheckResult ParallelSearch::run() {
         .inc(Stats.DistinctStates);
     M.counter("p_check_slices_total", "Run-to-scheduling-point slices")
         .inc(Stats.Slices);
+    M.counter("p_check_slices_interpreted_total",
+              "Slices the interpreter ran (the rest hit the slice memo)")
+        .inc(Stats.SlicesInterpreted);
     M.counter("p_check_terminals_total", "Distinct quiescent configurations")
         .inc(Stats.Terminals);
     M.counter("p_check_errors_total", "Error transitions found")

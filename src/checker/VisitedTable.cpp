@@ -9,8 +9,36 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <new>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#endif
 
 using namespace p;
+
+void *p::allocStripeBytes(size_t Bytes) {
+#if defined(__unix__) || defined(__APPLE__)
+  if (Bytes >= StripeMapBytes) {
+    void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      throw std::bad_alloc();
+    return P;
+  }
+#endif
+  return ::operator new(Bytes);
+}
+
+void p::freeStripeBytes(void *P, size_t Bytes) {
+#if defined(__unix__) || defined(__APPLE__)
+  if (Bytes >= StripeMapBytes) {
+    munmap(P, Bytes);
+    return;
+  }
+#endif
+  ::operator delete(P);
+}
 
 std::unique_lock<std::mutex> p::lockTimed(std::mutex &Mu,
                                           std::atomic<uint64_t> *WaitNs) {
@@ -91,7 +119,7 @@ VisitedTable::Visit VisitedTable::probe(uint64_t Cfg, uint64_t Word,
 void VisitedTable::grow(Stripe &S) {
   const uint64_t OldCap = S.Slots.size();
   const uint64_t Cap = 2 * OldCap;
-  std::vector<Slot> Slots(Cap);
+  std::vector<Slot, StripeAllocator<Slot>> Slots(Cap);
   for (const Slot &From : S.Slots) {
     if ((From.Word & BudgetMask) == EmptySlot)
       continue;

@@ -46,11 +46,32 @@
 #include <array>
 #include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
 namespace p {
+
+/// Raw memory for stripe slot arrays: blocks of StripeMapBytes and more
+/// are mapped from the OS and unmapped on release, so the generation a
+/// doubling stripe leaves behind goes back to the OS instead of staying
+/// in the heap as free chunks; smaller blocks use operator new.
+constexpr size_t StripeMapBytes = 16 * 1024;
+void *allocStripeBytes(size_t Bytes);
+void freeStripeBytes(void *P, size_t Bytes);
+
+/// The slot arrays' allocator (see allocStripeBytes).
+template <typename T> struct StripeAllocator {
+  using value_type = T;
+  StripeAllocator() = default;
+  template <typename U> StripeAllocator(const StripeAllocator<U> &) {}
+  T *allocate(size_t N) {
+    return static_cast<T *>(allocStripeBytes(N * sizeof(T)));
+  }
+  void deallocate(T *P, size_t N) { freeStripeBytes(P, N * sizeof(T)); }
+  friend bool operator==(StripeAllocator, StripeAllocator) { return true; }
+};
 
 /// Locks \p Mu; when the fast path fails, adds the time spent blocked to
 /// \p WaitNs (nullptr: just lock).
@@ -144,7 +165,7 @@ private:
   };
   struct alignas(64) Stripe { // Own cache line per lock.
     std::mutex Mu;
-    std::vector<Slot> Slots; ///< Guarded by Mu.
+    std::vector<Slot, StripeAllocator<Slot>> Slots; ///< Guarded by Mu.
     uint64_t Used = 0;       ///< Occupied slots; guarded by Mu.
   };
 

@@ -22,6 +22,7 @@ Json p::obs::checkStatsToJson(const CheckStats &Stats) {
   J.set("distinct_states", Stats.DistinctStates);
   J.set("nodes_explored", Stats.NodesExplored);
   J.set("slices", Stats.Slices);
+  J.set("slices_interpreted", Stats.SlicesInterpreted);
   J.set("terminals", Stats.Terminals);
   J.set("errors_found", Stats.ErrorsFound);
   J.set("max_depth", Stats.MaxDepth);

@@ -103,6 +103,7 @@ void SearchProfile::merge(const SearchProfile &O) {
     Machines[I].Nodes += O.Machines[I].Nodes;
     Machines[I].States += O.Machines[I].States;
     Machines[I].Slices += O.Machines[I].Slices;
+    Machines[I].SlicesInterpreted += O.Machines[I].SlicesInterpreted;
     Machines[I].SliceNs += O.Machines[I].SliceNs;
     Machines[I].SymmetryCollapsed += O.Machines[I].SymmetryCollapsed;
   }
@@ -114,6 +115,8 @@ void SearchProfile::merge(const SearchProfile &O) {
     Transitions[K] += V;
   for (size_t I = 0; I != 4; ++I)
     FaultKinds[I] += O.FaultKinds[I];
+  MemoEntries += O.MemoEntries;
+  MemoBytes += O.MemoBytes;
 }
 
 uint64_t SearchProfile::attributedNodes() const {
@@ -163,6 +166,7 @@ Json SearchProfile::toJson(const CompiledProgram &Prog,
     R.set("nodes", M.Nodes);
     R.set("states", M.States);
     R.set("slices", M.Slices);
+    R.set("slices_interpreted", M.SlicesInterpreted);
     R.set("slice_seconds", static_cast<double>(M.SliceNs) * 1e-9);
     R.set("symmetry_collapsed", M.SymmetryCollapsed);
     Rows.push(std::move(R));
@@ -215,6 +219,8 @@ Json SearchProfile::toJson(const CompiledProgram &Prog,
   F.set("crash", FaultKinds[2]);
   F.set("foreign", FaultKinds[3]);
   J.set("fault_kinds", std::move(F));
+  J.set("memo_entries", MemoEntries);
+  J.set("memo_bytes", MemoBytes);
   return J;
 }
 
@@ -224,8 +230,9 @@ std::string SearchProfile::str(const CompiledProgram &Prog) const {
   std::string Out;
   char Buf[256];
   const uint64_t Total = std::max<uint64_t>(totalNodes(), 1);
-  std::snprintf(Buf, sizeof(Buf), "  %-18s %12s %6s %12s %10s %10s %10s\n",
-                "machine", "nodes", "%", "states", "slices", "slice_ms",
+  std::snprintf(Buf, sizeof(Buf),
+                "  %-18s %12s %6s %12s %10s %10s %10s %10s\n", "machine",
+                "nodes", "%", "states", "slices", "interp", "slice_ms",
                 "collapsed");
   Out += Buf;
   for (size_t I = 0; I != Machines.size(); ++I) {
@@ -234,13 +241,15 @@ std::string SearchProfile::str(const CompiledProgram &Prog) const {
         M.SymmetryCollapsed == 0)
       continue;
     std::snprintf(Buf, sizeof(Buf),
-                  "  %-18s %12llu %5.1f%% %12llu %10llu %10.1f %10llu\n",
+                  "  %-18s %12llu %5.1f%% %12llu %10llu %10llu %10.1f "
+                  "%10llu\n",
                   rowName(Prog, I, Machines.size()).c_str(),
                   static_cast<unsigned long long>(M.Nodes),
                   100.0 * static_cast<double>(M.Nodes) /
                       static_cast<double>(Total),
                   static_cast<unsigned long long>(M.States),
                   static_cast<unsigned long long>(M.Slices),
+                  static_cast<unsigned long long>(M.SlicesInterpreted),
                   static_cast<double>(M.SliceNs) * 1e-6,
                   static_cast<unsigned long long>(M.SymmetryCollapsed));
     Out += Buf;
@@ -249,6 +258,11 @@ std::string SearchProfile::str(const CompiledProgram &Prog) const {
                 "  depth p50=%.0f p99=%.0f; delays p50=%.0f; slice p99=%.2gs\n",
                 Depth.quantile(0.5), Depth.quantile(0.99),
                 DelaysUsed.quantile(0.5), SliceSeconds.quantile(0.99));
+  Out += Buf;
+  std::snprintf(Buf, sizeof(Buf),
+                "  slice memo: %llu entries holding %.1f KiB of snapshots\n",
+                static_cast<unsigned long long>(MemoEntries),
+                static_cast<double>(MemoBytes) / 1024.0);
   Out += Buf;
   return Out;
 }

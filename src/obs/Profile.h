@@ -67,6 +67,9 @@ struct MachineProfile {
   uint64_t Nodes = 0;  ///< Search nodes whose producing slice ran this type.
   uint64_t States = 0; ///< Distinct states credited the same way.
   uint64_t Slices = 0; ///< Slices of this type executed.
+  /// Of those, slices the interpreter ran (the rest were slice-memo
+  /// hits; see checker/SliceMemo.h).
+  uint64_t SlicesInterpreted = 0;
   uint64_t SliceNs = 0; ///< Wall time inside those slices.
   uint64_t SymmetryCollapsed = 0; ///< Collapses of nodes this type produced.
 };
@@ -91,12 +94,19 @@ struct SearchProfile {
   ProfileHistogram SliceSeconds;  ///< Duration of individual slices.
 
   /// Dispatches per (machine type, state, event) coverage key — the
-  /// hot-transition table. std::map keeps merge and rendering order
-  /// deterministic.
+  /// hot-transition table — counted as the interpreter runs them: a
+  /// slice-memo hit dispatches nothing. std::map keeps merge and
+  /// rendering order deterministic.
   std::map<std::tuple<int32_t, int32_t, int32_t>, uint64_t> Transitions;
 
   /// Fault children pushed, by kind: drop, duplicate, crash, foreign.
   uint64_t FaultKinds[4] = {0, 0, 0, 0};
+
+  /// Slice-memo entries at the end of the run, summed over workers,
+  /// and the heap bytes of the snapshots they hold (each snapshot
+  /// counted once per worker).
+  uint64_t MemoEntries = 0;
+  uint64_t MemoBytes = 0;
 
   /// Sizes Machines to \p NumTypes + 1 rows and the histograms to their
   /// standard bounds; sets Enabled.

@@ -498,9 +498,10 @@ bool p::obs::validateRunReport(const Json &Report, std::string &Why) {
     Why = "empty runs array without a host section";
     return false;
   }
-  static const char *StatKeys[] = {"distinct_states", "nodes_explored",
-                                   "max_depth",       "workers_used",
-                                   "visited_bytes",   "symmetry_collapsed"};
+  static const char *StatKeys[] = {
+      "distinct_states", "nodes_explored",     "slices_interpreted",
+      "max_depth",       "workers_used",       "visited_bytes",
+      "symmetry_collapsed"};
   for (size_t I = 0; I != Runs.size(); ++I) {
     const Json &R = Runs.at(I);
     const std::string At = "run " + std::to_string(I) + ": ";

@@ -703,6 +703,8 @@ Executor::InstrResult Executor::execInstr(Config &Cfg, int32_t Id) const {
     ++Frame.PC;
     Res.Kind = InstrResult::SchedulingPoint;
     Res.Other = To;
+    Res.Event = Event.asEvent();
+    Res.Payload = Payload;
     return Res;
   }
   case Opcode::Raise: {
@@ -874,7 +876,8 @@ Executor::StepResult Executor::step(Config &Cfg, int32_t Id) const {
       case InstrResult::Continue:
         continue;
       case InstrResult::SchedulingPoint:
-        return {StepOutcome::SchedulingPoint, R.Other, R.Created};
+        return {StepOutcome::SchedulingPoint, R.Other, R.Created, R.Event,
+                R.Payload};
       case InstrResult::ChoicePoint:
         return {StepOutcome::ChoicePoint};
       case InstrResult::Halted:

@@ -81,6 +81,13 @@ public:
     int32_t Other = -1;
     /// True when the scheduling point was a `new` (Other is the child).
     bool Created = false;
+    /// For a send handed to enqueueEvent (a live target): its event and
+    /// payload. Event is -1 for every other slice, including a send a
+    /// crashed target dropped.
+    int32_t Event = -1;
+    Value Payload{};
+
+    bool operator==(const StepResult &O) const = default;
   };
 
   explicit Executor(const CompiledProgram &Prog) : Prog(Prog) {}
@@ -198,6 +205,19 @@ public:
   void setTraceSink(obs::TraceSink *Sink) { Trace = Sink; }
   obs::TraceSink *traceSink() const { return Trace; }
 
+  /// True when something outside the Config can see or steer a slice:
+  /// a trace sink, dequeue or dispatch observers, a choice provider,
+  /// send or create hooks, a structural mutex, or native foreign
+  /// functions (which receive the whole Config). A slice of an
+  /// unobserved executor is a function of the running machine's state,
+  /// its id and, for a send, the target's liveness and queue — what the
+  /// checker's slice memo relies on.
+  bool observed() const {
+    return Trace || !DequeueObservers.empty() || !DispatchObservers.empty() ||
+           ChoiceProvider || SendHook || CreateHook || StructuralMu ||
+           !ForeignFns.empty();
+  }
+
   /// Creates an instance of machine \p MachineIndex (rule NEW); returns
   /// its id. \p Inits lists (var index, value) pairs.
   int32_t createMachine(Config &Cfg, int32_t MachineIndex,
@@ -258,6 +278,8 @@ private:
     } Kind = Continue;
     int32_t Other = -1;
     bool Created = false;
+    int32_t Event = -1; ///< A send handed to enqueueEvent: its event.
+    Value Payload{};
   };
 
   InstrResult execInstr(Config &Cfg, int32_t Id) const;

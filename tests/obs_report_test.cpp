@@ -359,6 +359,8 @@ TEST(RunReportTest, JsonValidatesAndHtmlNamesCoverage) {
   EXPECT_EQ(Doc.get("tool").asString(), "obs_report_test");
   ASSERT_EQ(Doc.get("runs").size(), 1u);
   const obs::Json &Run = Doc.get("runs").at(0);
+  EXPECT_EQ(Run.get("stats").get("slices_interpreted").asNumber(),
+            static_cast<double>(R.Stats.SlicesInterpreted));
   EXPECT_TRUE(Run.get("profile").isObject());
   EXPECT_TRUE(Run.get("coverage").isArray());
   EXPECT_TRUE(Doc.get("host").get("dispatch_latency").get("p50_seconds")
@@ -430,6 +432,27 @@ TEST(RunReportTest, ValidatorRejectsMalformedDocuments) {
   Runs.push(std::move(Rec));
   Bad.set("runs", std::move(Runs));
   EXPECT_FALSE(obs::validateRunReport(Bad, Why));
+
+  // A stats block without the interpreted-slice count.
+  CompiledProgram Prog = compile(DeadHandlerSrc);
+  CheckOptions Opts;
+  Opts.DelayBound = 1;
+  obs::RunReport Rep("no_interpreted");
+  Rep.addCheckRun(Prog, obs::Json::object(), check(Prog, Opts));
+  obs::Json NoInterp = Rep.json();
+  ASSERT_TRUE(obs::validateRunReport(NoInterp, Why)) << Why;
+  obs::Json Stats = NoInterp.get("runs").at(0).get("stats");
+  obs::Json Trimmed = obs::Json::object();
+  for (const auto &[Key, V] : Stats.members())
+    if (Key != "slices_interpreted")
+      Trimmed.set(Key, V);
+  obs::Json Run = NoInterp.get("runs").at(0);
+  Run.set("stats", std::move(Trimmed));
+  obs::Json OneRun = obs::Json::array();
+  OneRun.push(std::move(Run));
+  NoInterp.set("runs", std::move(OneRun));
+  EXPECT_FALSE(obs::validateRunReport(NoInterp, Why));
+  EXPECT_NE(Why.find("slices_interpreted"), std::string::npos) << Why;
 }
 
 } // namespace
