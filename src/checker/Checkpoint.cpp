@@ -481,6 +481,13 @@ void appendPayload(const CheckpointData &D, std::string &Out) {
   W.i32(D.BestDelays);
   W.i32(D.BestFaults);
   appendDecisions(D.BestSchedule, W);
+  W.u64(D.Windows.size());
+  for (const ChoiceWindow &Win : D.Windows) {
+    W.u64(Win.Cfg);
+    W.u64(Win.Key);
+    W.u64(Win.Budget);
+    W.u32(Win.Nested);
+  }
 
   W.u64(D.Frontier.size());
   for (const FrontierNode &N : D.Frontier)
@@ -551,6 +558,16 @@ bool readPayload(ByteReader &R, CheckpointData &D) {
   D.BestFaults = R.i32();
   if (!readDecisions(R, D.BestSchedule))
     return false;
+  N = R.u64();
+  if (!R.ok() || N > R.remaining() / 28)
+    return false;
+  D.Windows.resize(N);
+  for (ChoiceWindow &Win : D.Windows) {
+    Win.Cfg = R.u64();
+    Win.Key = R.u64();
+    Win.Budget = R.u64();
+    Win.Nested = R.u32();
+  }
 
   N = R.u64();
   if (!R.ok())

@@ -41,6 +41,7 @@
 #define P_CHECKER_CHECKPOINT_H
 
 #include "checker/Checker.h"
+#include "checker/ChoiceLedger.h"
 #include "checker/VisitedTable.h"
 #include "runtime/Config.h"
 
@@ -62,7 +63,9 @@ namespace ckpt {
 /// Version 6: frontier nodes, visited images and Exact entries lose
 /// their sleep-set and mask fields, and the sleep-prune counter goes.
 /// Version 7: visited images hold 1024 stripe capacities, not 64.
-inline constexpr uint32_t FormatVersion = 7;
+/// Version 8: one visited entry per `*` (a true branch has none), and
+/// a serial search's open choice windows.
+inline constexpr uint32_t FormatVersion = 8;
 
 /// CRC-32 (IEEE, reflected) over a byte range. Exposed so tests can
 /// forge structurally-valid-but-stale files (e.g. version skew with a
@@ -241,6 +244,8 @@ struct CheckpointData {
   int32_t BestDelays = -1;
   int32_t BestFaults = -1;
   std::vector<SchedDecision> BestSchedule;
+  /// A serial search's open choice windows (checker/ChoiceLedger.h).
+  std::vector<ChoiceWindow> Windows;
 
   /// Pending nodes (in-memory frontiers in worker order plus spilled
   /// segments), in capture order — a serial resume replays the exact

@@ -7,6 +7,7 @@
 #include "checker/ParallelSearch.h"
 
 #include "checker/Checkpoint.h"
+#include "checker/ChoiceLedger.h"
 #include "checker/FrontierStore.h"
 #include "checker/SchedStack.h"
 #include "checker/SliceMemo.h"
@@ -89,6 +90,8 @@ private:
   TraceEntry *E = nullptr;
 };
 
+enum class Branch : uint8_t { None, False, True };
+
 /// A node of the schedule tree.
 struct Node {
   Config Cfg;
@@ -102,9 +105,12 @@ struct Node {
   /// for the root. Attribution metadata — never part of a dedup key or
   /// serialization, so it cannot change what is explored.
   int32_t ByType = -1;
+  Branch Choice = Branch::None; ///< Of a `*`; see admitBranch.
+  bool ChoiceIdentity = true; ///< See NodeKeys::Identity.
   TraceRef Trace; ///< The committed decision chain.
   /// The packed decision that made this node; see commitTrace.
   uint64_t Pending = NoDecision;
+  uint64_t ChoiceCfg = 0, ChoiceKey = 0; ///< The false branch's keys.
 };
 
 //===----------------------------------------------------------------------===//
@@ -225,6 +231,7 @@ struct Worker {
   std::atomic<uint64_t> FrontierSize{0};
 
   std::string Buf; ///< Reusable serialization buffer (Exact keys).
+  ChoiceLedger Ledger; ///< Windows of this worker's open `*` pairs.
 
   // Symmetry-reduction scratch (Reduction::Symmetry).
   std::string SymBuf;                        ///< Candidate node bytes.
@@ -266,7 +273,7 @@ class ParallelSearch {
 public:
   ParallelSearch(const CompiledProgram &Prog, const CheckOptions &Opts,
                  Executor *ExternalExec)
-      : Prog(Prog), Opts(Opts), OwnedExec(Prog, execOptions(Opts)),
+      : Prog(Prog), Opts(Opts), OwnedExec(Prog),
         BaseExec(ExternalExec ? *ExternalExec : OwnedExec),
         Mode(Opts.Visited),
         DoVerifyHashes(Opts.VerifyHashes ||
@@ -290,11 +297,15 @@ private:
     return false;
   }
 
-  static Executor::Options execOptions(const CheckOptions &Opts) {
-    Executor::Options EO;
+  /// A copy of the base executor under this check's UseModelBodies and
+  /// MaxStepsPerSlice: an external one lends observers, not limits.
+  Executor deriveExec() const {
+    Executor E(BaseExec);
+    Executor::Options EO = E.options();
     EO.UseModelBodies = Opts.UseModelBodies;
     EO.MaxStepsPerSlice = Opts.MaxStepsPerSlice;
-    return EO;
+    E.setOptions(EO);
+    return E;
   }
 
   unsigned resolveWorkers() const {
@@ -397,19 +408,20 @@ private:
     countConfig(W, Visited.note(CfgHash, &W.ContentionNs), Cfg, ByType);
   }
 
-  /// Counts \p Cfg when \p V, the visited table's answer, is NewConfig;
-  /// Full records that the search may have omitted states. \p ByType
-  /// is the profiler's producer attribution (the type whose slice made
-  /// the configuration; -1 for the root), ignored unless profiling.
+  /// Counts \p Cfg as \p States states when \p V, the visited table's
+  /// answer, is NewConfig; Full records that the search may have
+  /// omitted states. \p ByType is the profiler's producer attribution
+  /// (the type whose slice made the configuration; -1 for the root),
+  /// ignored unless profiling.
   void countConfig(Worker &W, VisitedTable::Visit V, const Config &Cfg,
-                   int32_t ByType) {
+                   int32_t ByType, unsigned States = 1) {
     if (V == VisitedTable::Visit::Full)
       setOnce(Omission, true);
     if (V != VisitedTable::Visit::NewConfig)
       return;
-    W.DistinctStates.fetch_add(1, std::memory_order_relaxed);
+    W.DistinctStates.fetch_add(States, std::memory_order_relaxed);
     if (ProfileOn)
-      W.Prof.Machines[W.Prof.rowOf(ByType)].States += 1;
+      W.Prof.Machines[W.Prof.rowOf(ByType)].States += States;
     if (Opts.TrackCoverage) {
       // Every state on a reachable call stack counts as visited.
       for (const CowMachine &CM : Cfg.Machines) {
@@ -473,22 +485,24 @@ private:
 
   /// True when \p N is to be expanded. One visited-table probe checks
   /// node (K.CfgHash, K.Key) under \p Spent — see dominates() — and
-  /// whether its configuration is new; a Full
-  /// Compact window prunes. \p Spent is the node's delays, or its depth
-  /// in a depth-bounded search. Exact mode keys nodes on W.Buf. An
-  /// admitted node counts as explored and commits its pending decision;
-  /// one at the depth bound is not expanded, and the search is then not
-  /// exhausted.
-  bool admit(Worker &W, Node &N, const NodeKeys &K, int Spent) {
+  /// whether its configuration is new, which counts as \p States states;
+  /// a Full Compact window prunes. \p Spent is the node's delays, or its
+  /// depth in a depth-bounded search. Exact mode keys nodes on W.Buf.
+  /// \p Met, when given, receives the budget the node's entry held (see
+  /// VisitedTable::visit), or 0 when Full.
+  bool admit(Worker &W, Node &N, const NodeKeys &K, int Spent,
+             unsigned States = 1, uint64_t *Met = nullptr) {
     using Visit = VisitedTable::Visit;
     Visit V = Visit::Explore;
     if (Mode != VisitedMode::Exact) {
-      V = Visited.visit(K.CfgHash, K.Key, Spent, &W.ContentionNs);
-      countConfig(W, V, N.Cfg, N.ByType);
+      V = Visited.visit(K.CfgHash, K.Key, Spent, &W.ContentionNs, Met);
+      countConfig(W, V, N.Cfg, N.ByType, States);
     } else {
       ExactShard &S = Exact[shardOf(K.Key)];
       auto L = lockTimed(S.Mu, &W.ContentionNs);
       auto [It, Inserted] = S.Map.try_emplace(W.Buf, Spent);
+      if (Met)
+        *Met = Inserted ? VisitedTable::NoBudget : It->second;
       if (Inserted)
         S.Bytes += exactEntryBytes(It->first);
       else if (dominates(It->second, Spent))
@@ -497,10 +511,48 @@ private:
         It->second = Spent;
       L.unlock();
       if (V != Visit::Dominated)
-        noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
+        countConfig(W, Visited.note(K.CfgHash, &W.ContentionNs), N.Cfg,
+                    N.ByType, States);
     }
-    if (V == Visit::Dominated || V == Visit::Full) {
-      if (!K.Identity) {
+    if (Met && V == Visit::Full)
+      *Met = 0; // Nothing stored: a pair's true branch is pruned too.
+    return admitted(W, N, V == Visit::Dominated || V == Visit::Full,
+                    K.Identity);
+  }
+
+  /// True when branch \p N of a `*` is to be expanded (DESIGN.md, "One
+  /// visited entry per `*`"): the false branch probes for both branches,
+  /// and W's ledger decides the true one.
+  bool admitBranch(Worker &W, Node &N, int Spent) {
+    if (N.Choice == Branch::True) {
+      const ChoiceLedger::Verdict V = W.Ledger.onTrue(
+          N.ChoiceCfg, N.ChoiceKey, VisitedTable::storedBudget(Spent));
+      if (ProfileOn)
+        ++(V == ChoiceLedger::Verdict::NoWindow ? W.Prof.ChoiceUnwindowed
+                                                : W.Prof.ChoiceDecided);
+      return admitted(W, N, V == ChoiceLedger::Verdict::Prune,
+                      N.ChoiceIdentity);
+    }
+    // Exact mode keys on the node's bytes, which W.Buf no longer holds.
+    const NodeKeys K =
+        Mode == VisitedMode::Exact
+            ? nodeKeys(W, N)
+            : NodeKeys{N.ChoiceCfg, N.ChoiceKey, N.ChoiceIdentity};
+    uint64_t Met = VisitedTable::NoBudget;
+    const bool Expand = admit(W, N, K, Spent, 2, &Met);
+    W.Ledger.onFalse(K.CfgHash, K.Key, Met);
+    if (ProfileOn)
+      W.Prof.ChoiceProbes += 1;
+    return Expand;
+  }
+
+  /// Ends admission: a \p Pruned node not keyed as itself (\p Identity)
+  /// counts a symmetry collapse. An admitted one counts as explored and
+  /// commits its pending decision; one at the depth bound is not
+  /// expanded, and the search is then not exhausted.
+  bool admitted(Worker &W, Node &N, bool Pruned, bool Identity) {
+    if (Pruned) {
+      if (!Identity) {
         W.SymmetryCollapsed.fetch_add(1, std::memory_order_relaxed);
         if (ProfileOn)
           profileCollapse(W);
@@ -517,6 +569,14 @@ private:
     }
     commitTrace(N);
     return true;
+  }
+
+  /// Makes \p N branch \p B of the choice point keyed \p K.
+  static void setChoice(Node &N, Branch B, const NodeKeys &K) {
+    N.Choice = B;
+    N.ChoiceCfg = K.CfgHash;
+    N.ChoiceKey = K.Key;
+    N.ChoiceIdentity = K.Identity;
   }
 
   void recordError(Worker &W, const Node &N) {
@@ -767,7 +827,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   ckpt::FrontierNode toFrontierNode(const Node &N);
-  static Node fromFrontierNode(ckpt::FrontierNode &&F);
+  Node fromFrontierNode(Worker &W, ckpt::FrontierNode &&F);
   void requestCheckpoint();
   void checkpointBarrier(Worker &W);
   void workerExited();
@@ -1014,6 +1074,7 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
   W.Slices.fetch_add(1, std::memory_order_relaxed);
   N.Depth += 1;
   N.MustRun = -1;
+  N.Choice = Branch::None;
   // Single-writer max: only this worker stores, heartbeat only reads.
   if (N.Depth > W.MaxDepth.load(std::memory_order_relaxed))
     W.MaxDepth.store(N.Depth, std::memory_order_relaxed);
@@ -1032,9 +1093,13 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
     return;
   }
   case Executor::StepOutcome::ChoicePoint: {
-    // Branch on the `*`: two children, the same machine resumes.
+    // Branch on the `*`: two children, the same machine resumes. Both
+    // keep the Run → Choose decision chain and carry the false branch's
+    // keys, taken once here (the chooser tops S: nothing to normalize).
     commitTrace(N);
     N.MustRun = Id;
+    assert(Opts.Strategy != SearchStrategy::DelayBounded ||
+           (!N.Sched.empty() && N.Sched.top() == Id));
     SchedDecision ChooseTrue, ChooseFalse;
     ChooseTrue.K = ChooseFalse.K = SchedDecision::Kind::Choose;
     ChooseTrue.Choice = true;
@@ -1043,6 +1108,9 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
     TrueChild.Pending = packDecision(ChooseTrue);
     W.Memo->choose(N.Cfg, Id, false);
     N.Pending = packDecision(ChooseFalse);
+    const NodeKeys K = nodeKeys(W, N);
+    setChoice(N, Branch::False, K);
+    setChoice(TrueChild, Branch::True, K);
     pushNode(W, std::move(TrueChild));
     pushNode(W, std::move(N));
     return;
@@ -1143,13 +1211,16 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
         break;
       }
   }
-  const NodeKeys K = nodeKeys(W, N);
-  if (N.Sched.empty()) { // Quiescent: every machine awaits events.
+  // A branch of a `*` is keyed already, and never quiescent.
+  const bool IsBranch = N.Choice != Branch::None;
+  const NodeKeys K = IsBranch ? NodeKeys() : nodeKeys(W, N);
+  if (!IsBranch && N.Sched.empty()) { // Every machine awaits events.
     noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
     noteTerminal(W, K.CfgHash);
     return;
   }
-  if (!admit(W, N, K, N.DelaysUsed))
+  if (IsBranch ? !admitBranch(W, N, N.DelaysUsed)
+               : !admit(W, N, K, N.DelaysUsed))
     return;
 
   pushFaultChildren(W, N);
@@ -1178,13 +1249,14 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
 }
 
 void ParallelSearch::expandDepthBounded(Worker &W, Node &&N) {
-  const NodeKeys K = nodeKeys(W, N);
   // The dominance value is the depth, not the delays: a key first
   // reached near the cut had its subtree cut short, so a later,
   // shallower visit — more slices left before the cut — explores it
   // again. The explored set is then every configuration reachable
   // within DepthBound slices, whatever order the workers reach it in.
-  if (!admit(W, N, K, N.Depth))
+  const bool IsBranch = N.Choice != Branch::None;
+  const NodeKeys K = IsBranch ? NodeKeys() : nodeKeys(W, N);
+  if (IsBranch ? !admitBranch(W, N, N.Depth) : !admit(W, N, K, N.Depth))
     return;
 
   if (N.MustRun >= 0) {
@@ -1295,8 +1367,11 @@ void ParallelSearch::workerLoop(Worker &W) {
       Busy = false;
       BusyWorkers.fetch_sub(1, std::memory_order_acq_rel);
     }
-    if (!Have && NumWorkers > 1)
+    if (!Have && NumWorkers > 1) {
+      // Windows of true branches that left this frontier are stale.
+      W.Ledger.clear();
       Have = trySteal(W, N);
+    }
     if (!Have && Spill)
       Have = tryReloadSpill(W, N);
     if (!Have) {
@@ -1323,7 +1398,7 @@ ParallelSearch::renderTrace(const std::vector<SchedDecision> &Schedule) {
   // foreign fault points on, or the slice boundaries shift; the flag is
   // deducible from the schedule itself (see Replay.cpp for the same
   // logic), so counterexamples stay self-contained.
-  Executor RExec(BaseExec);
+  Executor RExec = deriveExec();
   for (const SchedDecision &D : Schedule)
     if (D.K == SchedDecision::Kind::ForeignFault) {
       RExec.setForeignFaultPoints(true);
@@ -1433,7 +1508,7 @@ ckpt::FrontierNode ParallelSearch::toFrontierNode(const Node &N) {
   return F;
 }
 
-Node ParallelSearch::fromFrontierNode(ckpt::FrontierNode &&F) {
+Node ParallelSearch::fromFrontierNode(Worker &W, ckpt::FrontierNode &&F) {
   Node N;
   N.Cfg = std::move(F.Cfg);
   for (auto It = F.Sched.rbegin(); It != F.Sched.rend(); ++It)
@@ -1449,6 +1524,14 @@ Node ParallelSearch::fromFrontierNode(ckpt::FrontierNode &&F) {
   for (const SchedDecision &D : F.Schedule) {
     commitTrace(N);
     N.Pending = packDecision(D);
+  }
+  // A branch of a `*` re-derives its choice point's keys (false's).
+  if (!F.Schedule.empty() && N.Cfg.isLive(N.MustRun) &&
+      F.Schedule.back().K == SchedDecision::Kind::Choose) {
+    const bool True = F.Schedule.back().Choice;
+    N.Cfg.mutableMachine(N.MustRun).InjectedChoice = false;
+    setChoice(N, True ? Branch::True : Branch::False, nodeKeys(W, N));
+    N.Cfg.mutableMachine(N.MustRun).InjectedChoice = True;
   }
   return N;
 }
@@ -1562,7 +1645,10 @@ bool ParallelSearch::captureCheckpoint(ckpt::CheckpointData &D) {
   }
 
   // The frontier: in-memory deques in worker order, front to back (a
-  // serial resume replays the exact DFS stack), then spilled segments.
+  // serial resume replays the exact DFS stack, so a serial search's
+  // open windows stay valid), then spilled segments.
+  if (NumWorkers == 1)
+    Workers[0]->Ledger.exportWindows(D.Windows);
   for (const auto &WP : Workers) {
     Worker &W = *WP;
     std::lock_guard<std::mutex> L(W.FrontierMu);
@@ -1681,8 +1767,10 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
   size_t Next = 0;
   for (ckpt::FrontierNode &FN : D.Frontier) {
     Worker &W = *Workers[NumWorkers == 1 ? 0 : Next++ % NumWorkers];
-    W.Frontier.push_back(fromFrontierNode(std::move(FN)));
+    W.Frontier.push_back(fromFrontierNode(W, std::move(FN)));
   }
+  if (NumWorkers == 1) // Windows hold in a serial search's order only.
+    W0.Ledger.importWindows(D.Windows);
   for (const auto &W : Workers)
     noteSize(*W);
   DidResume = true;
@@ -1751,13 +1839,13 @@ bool ParallelSearch::tryReloadSpill(Worker &W, Node &N) {
   }
   // The youngest node of the segment comes back in hand; the rest
   // rejoin the in-memory frontier.
-  Node Last = fromFrontierNode(std::move(Seg.back()));
+  Node Last = fromFrontierNode(W, std::move(Seg.back()));
   Seg.pop_back();
   if (!Seg.empty()) {
     std::vector<Node> Rest;
     Rest.reserve(Seg.size());
     for (ckpt::FrontierNode &FN : Seg)
-      Rest.push_back(fromFrontierNode(std::move(FN)));
+      Rest.push_back(fromFrontierNode(W, std::move(FN)));
     auto L = lockTimed(W.FrontierMu, &W.ContentionNs);
     for (Node &B : Rest)
       W.Frontier.push_back(std::move(B));
@@ -1788,7 +1876,7 @@ CheckResult ParallelSearch::run() {
   NumWorkers = resolveWorkers();
   Workers.reserve(NumWorkers);
   for (unsigned I = 0; I != NumWorkers; ++I) {
-    Workers.push_back(std::make_unique<Worker>(I, BaseExec));
+    Workers.push_back(std::make_unique<Worker>(I, deriveExec()));
     Worker *W = Workers.back().get();
     // Each worker records into its own sink (sinks are single-writer).
     // Always override the executor's sink: an external executor's
@@ -1942,6 +2030,8 @@ CheckResult ParallelSearch::run() {
       W->Prof.MemoBytes = W->Memo->heldBytes();
       Result.Profile.merge(W->Prof);
     }
+    Result.Profile.VisitedSlotsUsed = Visited.usedSlots();
+    Result.Profile.VisitedSlots = Visited.slots();
   }
 
   if (Opts.TrackCoverage) {

@@ -70,8 +70,11 @@ void VisitedTable::init(uint64_t CapBytes) {
 }
 
 VisitedTable::Visit VisitedTable::probe(uint64_t Cfg, uint64_t Word,
-                                        std::atomic<uint64_t> *WaitNs) {
+                                        std::atomic<uint64_t> *WaitNs,
+                                        uint64_t *Met) {
   const uint64_t Spent = Word & BudgetMask;
+  if (Met)
+    *Met = NoBudget;
   Stripe &S = Stripes[stripeOf(Cfg)];
   auto L = lockTimed(S.Mu, WaitNs);
   const uint64_t Cap = S.Slots.size();
@@ -104,6 +107,8 @@ VisitedTable::Visit VisitedTable::probe(uint64_t Cfg, uint64_t Word,
     }
     if ((Sl.Word ^ Word) & ~BudgetMask)
       continue; // Another node of the same configuration.
+    if (Met && Field != Saturated)
+      *Met = Field;
     if (Field != Saturated && dominates(Field, Spent))
       return Visit::Dominated;
     Sl.Word = Word;
@@ -132,6 +137,13 @@ void VisitedTable::grow(Stripe &S) {
   S.Slots = std::move(Slots);
   // The net allocation grows by the old array's size.
   Bytes.fetch_add(OldCap * sizeof(Slot), std::memory_order_relaxed);
+}
+
+uint64_t VisitedTable::usedSlots() const {
+  uint64_t N = 0;
+  for (const Stripe &S : Stripes)
+    N += S.Used;
+  return N;
 }
 
 void VisitedTable::exportImage(VisitedImage &Img) const {

@@ -117,6 +117,9 @@ public:
   static constexpr uint64_t Saturated = BudgetMask - 2; ///< Never dominates.
   static constexpr uint64_t CfgOnly = BudgetMask - 1;   ///< No node.
   static constexpr uint64_t EmptySlot = BudgetMask;     ///< A hole.
+  /// What visit() reports as the budget it met when the node had no
+  /// entry, or one that never dominates.
+  static constexpr uint64_t NoBudget = ~uint64_t(0);
 
   /// Allocates the slot arrays: growable when \p CapBytes is 0,
   /// otherwise bounded to the whole slots that fit in \p CapBytes (at
@@ -132,24 +135,41 @@ public:
   };
 
   /// Visits node (\p Cfg, \p Tag) under \p Budget with the rule of
-  /// dominates(). Stripe waits are charged to \p WaitNs.
+  /// dominates(). Stripe waits are charged to \p WaitNs. \p Met, when
+  /// given, receives the budget the node's entry held before the visit:
+  /// the one that dominated it or the one it replaced (NoBudget for a
+  /// new node or a saturated entry).
   Visit visit(uint64_t Cfg, uint64_t Tag, int Budget,
-              std::atomic<uint64_t> *WaitNs = nullptr) {
+              std::atomic<uint64_t> *WaitNs = nullptr,
+              uint64_t *Met = nullptr) {
     assert(Budget >= 0);
     const uint64_t Spent = std::min<uint64_t>(Budget, Saturated);
-    return probe(Cfg, (Tag & ~BudgetMask) | Spent, WaitNs);
+    return probe(Cfg, (Tag & ~BudgetMask) | Spent, WaitNs, Met);
   }
 
   /// Notes configuration \p Cfg without a node: NewConfig when no entry
   /// of it existed (a config-only entry is stored), Dominated when one
   /// did. The terminal set uses it as plain set insertion.
   Visit note(uint64_t Cfg, std::atomic<uint64_t> *WaitNs = nullptr) {
-    return probe(Cfg, CfgOnly, WaitNs);
+    return probe(Cfg, CfgOnly, WaitNs, nullptr);
+  }
+
+  /// The budget an entry stores for a visit under \p Budget, as
+  /// visit() reports it: NoBudget once it saturates, as such an entry
+  /// never dominates.
+  static uint64_t storedBudget(int Budget) {
+    return static_cast<uint64_t>(Budget) < Saturated ? Budget : NoBudget;
   }
 
   /// Allocated slot bytes. Only grows, so it is monotone over a run;
   /// readable without the stripe locks.
   uint64_t bytes() const { return Bytes.load(std::memory_order_relaxed); }
+
+  /// Occupied slots, over every stripe. Reads the stripes without
+  /// their locks: call it once no worker probes.
+  uint64_t usedSlots() const;
+  /// Allocated slots, over every stripe.
+  uint64_t slots() const { return bytes() / sizeof(Slot); }
 
   /// Checkpoint capture and restore. Single-threaded: no worker may be
   /// probing. importImage() runs after init() and fails when the image
@@ -180,7 +200,8 @@ private:
   }
   /// The one probe behind visit() and note(): \p Word is a node's
   /// tag|budget, or CfgOnly for a note.
-  Visit probe(uint64_t Cfg, uint64_t Word, std::atomic<uint64_t> *WaitNs);
+  Visit probe(uint64_t Cfg, uint64_t Word, std::atomic<uint64_t> *WaitNs,
+              uint64_t *Met);
   void grow(Stripe &S);
 
   bool Growable = true;

@@ -117,6 +117,9 @@ void SearchProfile::merge(const SearchProfile &O) {
     FaultKinds[I] += O.FaultKinds[I];
   MemoEntries += O.MemoEntries;
   MemoBytes += O.MemoBytes;
+  ChoiceProbes += O.ChoiceProbes;
+  ChoiceDecided += O.ChoiceDecided;
+  ChoiceUnwindowed += O.ChoiceUnwindowed;
 }
 
 uint64_t SearchProfile::attributedNodes() const {
@@ -221,6 +224,15 @@ Json SearchProfile::toJson(const CompiledProgram &Prog,
   J.set("fault_kinds", std::move(F));
   J.set("memo_entries", MemoEntries);
   J.set("memo_bytes", MemoBytes);
+  Json C = Json::object();
+  C.set("probed", ChoiceProbes);
+  C.set("decided", ChoiceDecided);
+  C.set("unwindowed", ChoiceUnwindowed);
+  J.set("choice_points", std::move(C));
+  Json V = Json::object();
+  V.set("used", VisitedSlotsUsed);
+  V.set("slots", VisitedSlots);
+  J.set("visited_slots", std::move(V));
   return J;
 }
 
@@ -263,6 +275,23 @@ std::string SearchProfile::str(const CompiledProgram &Prog) const {
                 "  slice memo: %llu entries holding %.1f KiB of snapshots\n",
                 static_cast<unsigned long long>(MemoEntries),
                 static_cast<double>(MemoBytes) / 1024.0);
+  Out += Buf;
+  std::snprintf(Buf, sizeof(Buf),
+                "  choice points: %llu probed for %llu branches; %llu true "
+                "branches decided by the ledger, %llu admitted without a "
+                "window\n",
+                static_cast<unsigned long long>(ChoiceProbes),
+                static_cast<unsigned long long>(2 * ChoiceProbes),
+                static_cast<unsigned long long>(ChoiceDecided),
+                static_cast<unsigned long long>(ChoiceUnwindowed));
+  Out += Buf;
+  std::snprintf(Buf, sizeof(Buf),
+                "  visited: %llu of %llu slots (load %.3f)\n",
+                static_cast<unsigned long long>(VisitedSlotsUsed),
+                static_cast<unsigned long long>(VisitedSlots),
+                VisitedSlots ? static_cast<double>(VisitedSlotsUsed) /
+                                   static_cast<double>(VisitedSlots)
+                             : 0.0);
   Out += Buf;
   return Out;
 }

@@ -108,6 +108,16 @@ struct SearchProfile {
   uint64_t MemoEntries = 0;
   uint64_t MemoBytes = 0;
 
+  /// One visited entry per `*` (DESIGN.md): false-branch probes, each
+  /// standing for two branches, and true branches decided by a window
+  /// of the worker's ledger or admitted without one.
+  uint64_t ChoiceProbes = 0;
+  uint64_t ChoiceDecided = 0;
+  uint64_t ChoiceUnwindowed = 0;
+  /// The visited table's occupied and allocated slots at the end.
+  uint64_t VisitedSlotsUsed = 0;
+  uint64_t VisitedSlots = 0;
+
   /// Sizes Machines to \p NumTypes + 1 rows and the histograms to their
   /// standard bounds; sets Enabled.
   void init(size_t NumTypes);

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 using namespace p;
 using namespace p::obs;
@@ -529,11 +530,24 @@ bool p::obs::validateRunReport(const Json &Report, std::string &Why) {
         Why = At + "profile without boolean 'enabled'";
         return false;
       }
-      if (R.get("profile").get("enabled").asBool() &&
-          !R.get("profile").get("machines").isArray()) {
+      const Json &P = R.get("profile");
+      if (P.get("enabled").asBool() && !P.get("machines").isArray()) {
         Why = At + "enabled profile without 'machines' array";
         return false;
       }
+      static const std::pair<const char *, const char *> ProfileKeys[] = {
+          {"choice_points", "probed"},
+          {"choice_points", "decided"},
+          {"choice_points", "unwindowed"},
+          {"visited_slots", "used"},
+          {"visited_slots", "slots"}};
+      if (P.get("enabled").asBool())
+        for (const auto &[Obj, Key] : ProfileKeys)
+          if (!P.get(Obj).isObject() || !P.get(Obj).get(Key).isNumber()) {
+            Why = At + "enabled profile missing numeric '" + Obj + "." +
+                  Key + "'";
+            return false;
+          }
     }
     if (R.has("coverage") &&
         !validateCoverageJson(R.get("coverage"), Why, At))

@@ -116,6 +116,10 @@ public:
     ChoiceProvider = std::move(Provider);
   }
 
+  /// Replaces the options after construction; the checker sets its own
+  /// limits on the copies it makes of a caller's executor.
+  void setOptions(const Options &O) { Opts = O; }
+
   /// Toggles Options::ForeignFaultPoints after construction; the
   /// parallel checker sets it on its per-worker copies when foreign
   /// failure is part of the explored fault model.

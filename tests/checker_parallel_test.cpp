@@ -91,6 +91,22 @@ TEST(ParallelChecker, GermanMatchesSerialAcrossWorkerCounts) {
   }
 }
 
+// A true branch of a `*` never probes the visited table: its false
+// sibling's probe stands for both, and each worker's ledger decides it
+// (DESIGN.md, "One visited entry per `*`"). Steals split branch pairs
+// across workers; the state count must not move.
+TEST(ParallelChecker, GermanD3StatesHoldAcrossWorkerCounts) {
+  CompiledProgram Prog = compile(corpus::german(2));
+  for (int W : {2, 4, 8}) {
+    CheckOptions Opts;
+    Opts.DelayBound = 3;
+    Opts.Workers = W;
+    const CheckResult R = check(Prog, Opts);
+    EXPECT_TRUE(R.Stats.Exhausted) << "workers=" << W;
+    EXPECT_EQ(R.Stats.DistinctStates, 870206u) << "workers=" << W;
+  }
+}
+
 TEST(ParallelChecker, SwitchLedExactStatesMatchesSerial) {
   CompiledProgram Prog = compile(corpus::switchLed());
   CheckOptions Opts;

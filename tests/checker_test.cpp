@@ -147,6 +147,45 @@ TEST(Checker, NodeCapMarksSearchIncomplete) {
   EXPECT_LE(R.Stats.NodesExplored, 3u);
 }
 
+// An external executor lends the check its registrations and
+// observers, not its limits: every executor the search derives from it
+// (the workers', and the one that renders the trace) runs under the
+// check's MaxStepsPerSlice and UseModelBodies. A 100-iteration loop
+// ends well inside the executor's own 1,000,000-step limit but diverges
+// under a 50-step one.
+TEST(Checker, ExternalExecutorRunsUnderTheCheckOptions) {
+  CompiledProgram Prog = compile(R"(
+main machine M {
+  var X: int;
+  state S { entry { X = 0; while (X < 100) { X = X + 1; } } }
+}
+)");
+  CheckOptions Opts;
+  Opts.MaxStepsPerSlice = 50;
+  const CheckResult Own = check(Prog, Opts);
+  ASSERT_TRUE(Own.ErrorFound);
+  EXPECT_EQ(Own.Error, ErrorKind::Divergence);
+  Executor Exec(Prog);
+  const CheckResult Ext = check(Prog, Opts, &Exec);
+  EXPECT_TRUE(Ext.ErrorFound);
+  EXPECT_EQ(Ext.Error, Own.Error);
+  EXPECT_EQ(Ext.ErrorMessage, Own.ErrorMessage);
+  EXPECT_EQ(Ext.Trace, Own.Trace);
+
+  // A model body that fails: only the check's UseModelBodies runs it.
+  CompiledProgram Model = compile(R"(
+main machine M {
+  var X: int;
+  foreign fun Probe(): int model { assert(false); }
+  state S { entry { X = Probe(); } }
+}
+)");
+  Executor Native(Model); // UseModelBodies off.
+  const CheckResult Modeled = check(Model, CheckOptions(), &Native);
+  EXPECT_TRUE(Modeled.ErrorFound);
+  EXPECT_EQ(Modeled.Error, ErrorKind::AssertFailed);
+}
+
 TEST(Checker, CollectsTerminalStates) {
   CompiledProgram Prog = compile(R"(
 main ghost machine G {

@@ -198,6 +198,36 @@ TEST(Checkpoint, CutAndResumeKeepTheLexLeastCounterexample) {
   }
 }
 
+TEST(Checkpoint, SerialCutAndResumeExploreTheUninterruptedNodes) {
+  // A serial resume replays the exact DFS stack, and the checkpoint
+  // keeps the open choice windows (checker/ChoiceLedger.h): a true
+  // branch pending at the cut is decided as the uninterrupted search
+  // decided it, so not one node more is explored.
+  CompiledProgram Prog = compile(corpus::german(2));
+  const CheckOptions Base =
+      baseOpts(1, VisitedMode::Fingerprint, Reduction::Off, 2);
+  const CheckResult Full = check(Prog, Base);
+  ASSERT_TRUE(Full.Stats.Exhausted);
+  for (uint64_t Eighths : {1, 3, 5, 7}) {
+    const std::string What = "cut at " + std::to_string(Eighths) + "/8";
+    TempCkpt C("nodes" + std::to_string(Eighths));
+    CheckOptions Cut = Base;
+    Cut.MaxNodes = Full.Stats.NodesExplored * Eighths / 8;
+    Cut.CheckpointPath = C.Path;
+    ASSERT_FALSE(check(Prog, Cut).Stats.Exhausted) << What;
+
+    CheckOptions Res = Base;
+    Res.CheckpointPath = C.Path;
+    Res.Resume = true;
+    const CheckResult Resumed = check(Prog, Res);
+    ASSERT_TRUE(Resumed.ResumeError.empty()) << What;
+    EXPECT_EQ(Resumed.Stats.NodesExplored, Full.Stats.NodesExplored)
+        << What;
+    EXPECT_EQ(Resumed.Stats.DistinctStates, Full.Stats.DistinctStates)
+        << What;
+  }
+}
+
 TEST(Checkpoint, KillAndResumeUnderReductions) {
   CompiledProgram Prog = compile(corpus::german(1));
   for (Reduction R : {Reduction::Symmetry})
@@ -390,11 +420,13 @@ TEST(CheckpointCorruption, StaleFormatVersionIsRejected) {
   // runs; version 3 keys were hashed from the serialized bytes, not
   // streamed; version 4 stored separate node-dedup and distinct-state
   // images; version 5 stored sleep sets and sleep masks; version 6
-  // stored 64 visited stripes, not 1024) or a newer one: the load must
-  // fail on the version, not on a stripe-count mismatch or a misparse.
-  ASSERT_GT(ckpt::FormatVersion, 6u);
+  // stored 64 visited stripes, not 1024; version 7 stored a visited
+  // entry per branch of a `*` and no choice windows) or a newer one:
+  // the load must fail on the version, not on a stripe-count mismatch
+  // or a misparse.
+  ASSERT_GT(ckpt::FormatVersion, 7u);
   for (uint32_t Forged :
-       {1u, 2u, 3u, 4u, 5u, 6u, ckpt::FormatVersion + 7}) {
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, ckpt::FormatVersion + 7}) {
     for (int I = 0; I != 4; ++I)
       Bytes[8 + I] = static_cast<char>((Forged >> (8 * I)) & 0xff);
     const uint32_t Crc = ckpt::crc32(Bytes.data(), Bytes.size() - 4);

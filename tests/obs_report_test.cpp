@@ -209,6 +209,59 @@ TEST(ProfileTest, AttributionReconcilesWithStats) {
   EXPECT_GT(J.get("hot_transitions").size(), 0u);
 }
 
+TEST(ProfileTest, ChoicePointsAndTableOccupancyAreReported) {
+  CompiledProgram Prog = compile(corpus::german(2));
+  CheckOptions Opts;
+  Opts.DelayBound = 1;
+  Opts.Profile = true;
+  CheckResult R = check(Prog, Opts);
+  ASSERT_TRUE(R.Stats.Exhausted);
+  const obs::SearchProfile &P = R.Profile;
+  // German's ghost driver branches on `*`. A serial search pops every
+  // true branch inside the window its false sibling opened.
+  EXPECT_GT(P.ChoiceProbes, 0u);
+  EXPECT_EQ(P.ChoiceDecided, P.ChoiceProbes);
+  EXPECT_EQ(P.ChoiceUnwindowed, 0u);
+  EXPECT_GT(P.VisitedSlotsUsed, 0u);
+  EXPECT_LT(P.VisitedSlotsUsed, P.VisitedSlots);
+  EXPECT_LE(P.VisitedSlots * 16, R.Stats.VisitedBytes);
+
+  const std::string Text = P.str(Prog);
+  EXPECT_NE(Text.find("choice points: " + std::to_string(P.ChoiceProbes) +
+                      " probed for " +
+                      std::to_string(2 * P.ChoiceProbes) + " branches"),
+            std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("visited: " + std::to_string(P.VisitedSlotsUsed) +
+                      " of " + std::to_string(P.VisitedSlots) + " slots"),
+            std::string::npos)
+      << Text;
+
+  obs::RunReport Rep("obs_report_test");
+  Rep.addCheckRun(Prog, obs::Json::object(), R);
+  obs::Json Doc = Rep.json();
+  std::string Why;
+  ASSERT_TRUE(obs::validateRunReport(Doc, Why)) << Why;
+  const obs::Json &J = Doc.get("runs").at(0).get("profile");
+  EXPECT_EQ(J.get("choice_points").get("probed").asNumber(),
+            static_cast<double>(P.ChoiceProbes));
+  EXPECT_EQ(J.get("visited_slots").get("used").asNumber(),
+            static_cast<double>(P.VisitedSlotsUsed));
+
+  // An enabled profile without the choice-point block is rejected.
+  obs::Json Trimmed = obs::Json::object();
+  for (const auto &[Key, V] : J.members())
+    if (Key != "choice_points")
+      Trimmed.set(Key, V);
+  obs::Json Run = Doc.get("runs").at(0);
+  Run.set("profile", std::move(Trimmed));
+  obs::Json OneRun = obs::Json::array();
+  OneRun.push(std::move(Run));
+  Doc.set("runs", std::move(OneRun));
+  EXPECT_FALSE(obs::validateRunReport(Doc, Why));
+  EXPECT_NE(Why.find("choice_points"), std::string::npos) << Why;
+}
+
 TEST(ProfileTest, MergedParallelAttributionStillReconciles) {
   CompiledProgram Prog = compile(corpus::workerPool(3));
   CheckOptions Opts;

@@ -45,10 +45,7 @@ CompiledProgram compileOrDie(const std::string &Src) {
 /// and every slice is interpreted.
 CheckResult checkUnmemoized(const CompiledProgram &Prog,
                             const CheckOptions &Opts) {
-  Executor::Options EO;
-  EO.UseModelBodies = Opts.UseModelBodies;
-  EO.MaxStepsPerSlice = Opts.MaxStepsPerSlice;
-  Executor Exec(Prog, EO);
+  Executor Exec(Prog);
   Exec.addDequeueObserver([](int32_t, int32_t) {});
   return check(Prog, Opts, &Exec);
 }

@@ -184,6 +184,30 @@ TEST(VisitedTable, SaturatedBudgetsNeverDominate) {
   }
 }
 
+// A visit reports the budget the node's entry held before it: what the
+// true branch of a `*` needs from its false sibling's probe.
+TEST(VisitedTable, VisitReportsTheBudgetItMet) {
+  VisitedTable T;
+  T.init(0);
+  uint64_t Met = 0;
+  EXPECT_EQ(T.visit(1, 2 << 20, 3, nullptr, &Met), Visit::NewConfig);
+  EXPECT_EQ(Met, VisitedTable::NoBudget);
+  EXPECT_EQ(T.visit(1, 2 << 20, 5, nullptr, &Met), Visit::Dominated);
+  EXPECT_EQ(Met, 3u); // The budget that dominated it.
+  EXPECT_EQ(T.visit(1, 2 << 20, 1, nullptr, &Met), Visit::Explore);
+  EXPECT_EQ(Met, 3u); // The budget it replaced.
+  EXPECT_EQ(T.visit(1, 4 << 20, 0, nullptr, &Met), Visit::Explore);
+  EXPECT_EQ(Met, VisitedTable::NoBudget); // A new node, known config.
+  const int Big = static_cast<int>(Saturated) + 1;
+  EXPECT_EQ(T.visit(7, 0, Big, nullptr, &Met), Visit::NewConfig);
+  EXPECT_EQ(T.visit(7, 0, Big, nullptr, &Met), Visit::Explore);
+  EXPECT_EQ(Met, VisitedTable::NoBudget); // Saturated: never dominates.
+  EXPECT_EQ(VisitedTable::storedBudget(Big), VisitedTable::NoBudget);
+  EXPECT_EQ(VisitedTable::storedBudget(3), 3u);
+  EXPECT_EQ(T.usedSlots(), 3u);
+  EXPECT_EQ(T.slots() * 16, T.bytes());
+}
+
 TEST(VisitedTable, BoundedNeverGrowsAndReportsSaturation) {
   // Below the floor: every stripe gets InitialStripeSlots slots.
   VisitedTable T;
