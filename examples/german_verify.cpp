@@ -405,8 +405,7 @@ int main(int argc, char **argv) {
     }
     if (Msc) {
       std::printf("\n-- counterexample message-sequence chart --\n%s",
-                  obs::renderScheduleMsc(Buggy, R.Schedule,
-                                         Opts.UseModelBodies)
+                  obs::renderScheduleMsc(Buggy, R.Schedule, Opts)
                       .c_str());
     }
     break;

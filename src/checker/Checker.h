@@ -409,7 +409,9 @@ struct CheckResult {
   bool ErrorFound = false;
   ErrorKind Error = ErrorKind::None;
   std::string ErrorMessage;
-  /// Human-readable counterexample: one line per scheduling decision.
+  /// Human-readable counterexample: the "initial:" line, then one line
+  /// per scheduling decision (ReplayResult::Initial and Steps of a
+  /// replaySchedule of Schedule under the same options).
   std::vector<std::string> Trace;
   /// The counterexample as a replayable schedule (see checker/Replay.h).
   std::vector<SchedDecision> Schedule;

@@ -6,6 +6,7 @@
 
 #include "checker/Liveness.h"
 
+#include "checker/Replay.h"
 #include "checker/SchedStack.h"
 #include "checker/StateHash.h"
 #include "runtime/Executor.h"
@@ -119,39 +120,26 @@ void LivenessSearch::expand(PathNode &N) {
   Executor::StepResult R = Exec.step(Child.Cfg, Top);
   Child.Dequeued = CurrentDequeues;
 
-  switch (R.Outcome) {
-  case Executor::StepOutcome::Error:
-    // Safety errors are the Checker's job; a liveness search just does
-    // not continue past them.
+  // Safety errors are the Checker's job; a liveness search just does
+  // not continue past them.
+  if (R.Outcome == Executor::StepOutcome::Error)
     return;
-  case Executor::StepOutcome::ChoicePoint: {
-    PathNode TrueChild = Child;
-    TrueChild.Cfg.mutableMachine(Top).InjectedChoice = true;
-    TrueChild.MustRun = Top;
-    TrueChild.Desc += " (choose true)";
-    Child.Cfg.mutableMachine(Top).InjectedChoice = false;
+  Child.Sched.afterSlice(Top, R);
+  if (R.Outcome == Executor::StepOutcome::ChoicePoint) {
+    // The chooser resumes with its `*` resolved each way.
     Child.MustRun = Top;
-    Child.Desc += " (choose false)";
+    SchedDecision Choose;
+    Choose.K = SchedDecision::Kind::Choose;
+    PathNode TrueChild = Child;
+    Choose.Choice = true;
+    applyDecision(Exec, TrueChild.Cfg, Choose, Top);
+    TrueChild.Desc += " (choose true)";
     N.Pending.push_back(std::move(TrueChild));
-    N.Pending.push_back(std::move(Child));
-    return;
+    Choose.Choice = false;
+    applyDecision(Exec, Child.Cfg, Choose, Top);
+    Child.Desc += " (choose false)";
   }
-  case Executor::StepOutcome::SchedulingPoint: {
-    if (!Child.Sched.contains(R.Other))
-      Child.Sched.push(R.Other);
-    N.Pending.push_back(std::move(Child));
-    return;
-  }
-  case Executor::StepOutcome::Blocked:
-    if (!Child.Sched.empty() && Child.Sched.top() == Top)
-      Child.Sched.pop();
-    N.Pending.push_back(std::move(Child));
-    return;
-  case Executor::StepOutcome::Halted:
-    Child.Sched.remove(Top);
-    N.Pending.push_back(std::move(Child));
-    return;
-  }
+  N.Pending.push_back(std::move(Child));
 }
 
 bool LivenessSearch::analyzeCycle(size_t Start, const PathNode &Closing) {

@@ -9,6 +9,7 @@
 #include "checker/Checkpoint.h"
 #include "checker/ChoiceLedger.h"
 #include "checker/FrontierStore.h"
+#include "checker/Replay.h"
 #include "checker/SchedStack.h"
 #include "checker/SliceMemo.h"
 #include "checker/StateHash.h"
@@ -650,6 +651,8 @@ private:
 
   NodeKeys canonicalNodeKeys(Worker &W, const Node &N);
 
+  Node faultChild(Worker &W, const Node &N, const SchedDecision &D,
+                  int32_t ByType);
   void pushFaultChildren(Worker &W, const Node &N);
   void expandRun(Worker &W, Node &&N, int32_t Id);
   void expandDelayBounded(Worker &W, Node &&N);
@@ -963,6 +966,25 @@ ParallelSearch::NodeKeys ParallelSearch::canonicalNodeKeys(Worker &W,
   return Out;
 }
 
+/// A child of \p N that spends one fault on \p D: a copy with \p D
+/// applied and pending. A profile charges it to \p ByType, the type of
+/// the machine the fault acts on.
+Node ParallelSearch::faultChild(Worker &W, const Node &N,
+                                const SchedDecision &D, int32_t ByType) {
+  Node C = N; // copy: O(#machines) snapshot pointer bumps
+  C.FaultsUsed += 1;
+  applyDecision(W.Exec, C.Cfg, D, -1);
+  C.Pending = packDecision(D);
+  W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
+  if (ProfileOn) {
+    C.ByType = ByType;
+    // FaultKinds is indexed DropEvent, DupEvent, Crash, ForeignFault.
+    W.Prof.FaultKinds[static_cast<int>(D.K) -
+                      static_cast<int>(SchedDecision::Kind::DropEvent)] += 1;
+  }
+  return C;
+}
+
 /// Pushes the fault children of a scheduling point: one per droppable
 /// queue entry, duplicable queue entry, and crashable live machine.
 /// Each costs 1 against FaultSpec::Budget. Children are pushed in
@@ -981,19 +1003,11 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
       const MachineState &M = *N.Cfg.Machines[Id];
       if (!M.Alive || !F.crashTypeAllowed(M.MachineIndex))
         continue;
-      Node C = N; // copy
-      C.FaultsUsed += 1;
-      W.Exec.crashMachine(C.Cfg, Id); // Records FaultInjected itself.
-      C.Sched.remove(Id);
       SchedDecision D;
       D.K = SchedDecision::Kind::Crash;
       D.Machine = Id;
-      C.Pending = packDecision(D);
-      W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
-      if (ProfileOn) { // The fault acted on Id: its type gets the node.
-        C.ByType = M.MachineIndex;
-        W.Prof.FaultKinds[2] += 1;
-      }
+      Node C = faultChild(W, N, D, M.MachineIndex);
+      C.Sched.remove(Id);
       pushNode(W, std::move(C));
     }
   }
@@ -1009,36 +1023,12 @@ void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
       for (int32_t Q = static_cast<int32_t>(M.Queue.size()); Q-- > 0;) {
         if (!F.eventAllowed(M.Queue[Q].first))
           continue;
-        Node C = N; // copy: O(#machines) snapshot pointer bumps
-        C.FaultsUsed += 1;
-        // mut() clones only this machine's snapshot; M still reads N's.
-        auto &CQ = C.Cfg.mutableMachine(Id).Queue;
         SchedDecision D;
+        D.K = Dup ? SchedDecision::Kind::DupEvent
+                  : SchedDecision::Kind::DropEvent;
         D.Machine = Id;
         D.Aux = Q;
-        if (Dup) {
-          // The network delivered this message twice: the second copy
-          // lands at the back of the queue, deliberately bypassing the
-          // send-side ⊎ guard.
-          D.K = SchedDecision::Kind::DupEvent;
-          CQ.push_back(CQ[Q]);
-        } else {
-          D.K = SchedDecision::Kind::DropEvent;
-          CQ.erase(CQ.begin() + Q);
-        }
-        if (W.Trace)
-          W.Trace->record(obs::TraceKind::FaultInjected, Id,
-                          static_cast<int32_t>(
-                              Dup ? FaultKind::DuplicateEvent
-                                  : FaultKind::DropEvent),
-                          M.Queue[Q].first);
-        C.Pending = packDecision(D);
-        W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
-        if (ProfileOn) {
-          C.ByType = M.MachineIndex;
-          W.Prof.FaultKinds[Dup ? 1 : 0] += 1;
-        }
-        pushNode(W, std::move(C));
+        pushNode(W, faultChild(W, N, D, M.MachineIndex));
       }
     }
   }
@@ -1084,15 +1074,16 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
   RunDecision.Machine = Id;
   N.Pending = packDecision(RunDecision);
 
-  switch (R.Outcome) {
-  case Executor::StepOutcome::Error: {
+  if (R.Outcome == Executor::StepOutcome::Error) {
     noteConfig(W, configHash(N.Cfg), N.Cfg, N.ByType);
     recordError(W, N);
     if (Opts.StopOnFirstError)
       Stop.store(true, std::memory_order_relaxed);
     return;
   }
-  case Executor::StepOutcome::ChoicePoint: {
+  if (Opts.Strategy == SearchStrategy::DelayBounded)
+    N.Sched.afterSlice(Id, R);
+  if (R.Outcome == Executor::StepOutcome::ChoicePoint) {
     // Branch on the `*`: two children, the same machine resumes. Both
     // keep the Run → Choose decision chain and carry the false branch's
     // keys, taken once here (the chooser tops S: nothing to normalize).
@@ -1112,61 +1103,24 @@ void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
     setChoice(N, Branch::False, K);
     setChoice(TrueChild, Branch::True, K);
     pushNode(W, std::move(TrueChild));
-    pushNode(W, std::move(N));
-    return;
-  }
-  case Executor::StepOutcome::SchedulingPoint: {
-    if (Opts.Strategy == SearchStrategy::DelayBounded) {
-      if (!N.Sched.contains(R.Other))
-        N.Sched.push(R.Other);
-    }
-    pushNode(W, std::move(N));
-    return;
-  }
-  case Executor::StepOutcome::Blocked: {
-    if (Opts.Strategy == SearchStrategy::DelayBounded) {
-      assert(!N.Sched.empty() && N.Sched.top() == Id);
-      N.Sched.pop();
-    }
-    pushNode(W, std::move(N));
-    return;
-  }
-  case Executor::StepOutcome::Halted: {
-    if (Opts.Strategy == SearchStrategy::DelayBounded)
-      N.Sched.remove(Id);
-    pushNode(W, std::move(N));
-    return;
-  }
-  case Executor::StepOutcome::ForeignCall: {
+  } else if (R.Outcome == Executor::StepOutcome::ForeignCall) {
     // Stopped at a foreign call (fault points on): branch on whether
     // the environment fails it, like a `*` choice, except the failing
     // branch costs one fault. The same machine resumes either way.
     commitTrace(N);
     N.MustRun = Id;
+    SchedDecision D;
+    D.K = SchedDecision::Kind::ForeignFault;
+    D.Machine = Id;
     if (Opts.Faults.FailForeign && N.FaultsUsed < Opts.Faults.Budget) {
-      Node FailChild = N; // copy: O(#machines) snapshot pointer bumps
-      FailChild.FaultsUsed += 1;
-      FailChild.Cfg.mutableMachine(Id).InjectedForeignFail = true;
-      SchedDecision FailDecision;
-      FailDecision.K = SchedDecision::Kind::ForeignFault;
-      FailDecision.Machine = Id;
-      FailDecision.Choice = true;
-      FailChild.Pending = packDecision(FailDecision);
-      W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
-      if (ProfileOn)
-        W.Prof.FaultKinds[3] += 1;
-      pushNode(W, std::move(FailChild));
+      D.Choice = true;
+      pushNode(W, faultChild(W, N, D, N.ByType));
     }
-    N.Cfg.mutableMachine(Id).InjectedForeignFail = false;
-    SchedDecision OkDecision;
-    OkDecision.K = SchedDecision::Kind::ForeignFault;
-    OkDecision.Machine = Id;
-    OkDecision.Choice = false;
-    N.Pending = packDecision(OkDecision);
-    pushNode(W, std::move(N));
-    return;
+    D.Choice = false;
+    applyDecision(W.Exec, N.Cfg, D, Id);
+    N.Pending = packDecision(D);
   }
-  }
+  pushNode(W, std::move(N));
 }
 
 /// Keys \p N after its stack is normalized (see NodeKeys): its
@@ -1234,15 +1188,13 @@ void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
   // (rotate the top to the bottom for one unit of budget) first.
   if (CanDelay) {
     Node Delayed = N; // copy
-    const int32_t Moved = Delayed.Sched.top();
-    Delayed.Sched.rotate();
-    Delayed.DelaysUsed += 1;
     SchedDecision DelayDecision;
     DelayDecision.K = SchedDecision::Kind::Delay;
-    DelayDecision.Machine = Moved;
+    DelayDecision.Machine = Delayed.Sched.top();
+    Delayed.Sched.rotate();
+    Delayed.DelaysUsed += 1;
+    applyDecision(W.Exec, Delayed.Cfg, DelayDecision, -1);
     Delayed.Pending = packDecision(DelayDecision);
-    if (W.Trace)
-      W.Trace->record(obs::TraceKind::Delay, Moved);
     pushNode(W, std::move(Delayed));
   }
   expandRun(W, std::move(N), Top);
@@ -1393,100 +1345,10 @@ void ParallelSearch::workerLoop(Worker &W) {
 
 std::vector<std::string>
 ParallelSearch::renderTrace(const std::vector<SchedDecision> &Schedule) {
-  std::vector<std::string> Lines;
-  // A schedule that resolves foreign calls must be re-executed with
-  // foreign fault points on, or the slice boundaries shift; the flag is
-  // deducible from the schedule itself (see Replay.cpp for the same
-  // logic), so counterexamples stay self-contained.
   Executor RExec = deriveExec();
-  for (const SchedDecision &D : Schedule)
-    if (D.K == SchedDecision::Kind::ForeignFault) {
-      RExec.setForeignFaultPoints(true);
-      break;
-    }
-  Config Cfg = RExec.makeInitialConfig();
-  Cfg.MaxQueue = Opts.MaxQueue;
-  Cfg.Overflow = Opts.Overflow;
-  Lines.push_back("initial: create " + RExec.describeMachine(Cfg, 0));
-  int32_t LastRun = -1;
-  auto EventName = [&](int32_t E) {
-    return E >= 0 && E < static_cast<int32_t>(Prog.Events.size())
-               ? Prog.Events[E].Name
-               : std::to_string(E);
-  };
-  for (const SchedDecision &D : Schedule) {
-    switch (D.K) {
-    case SchedDecision::Kind::Delay:
-      Lines.push_back("delay " + RExec.describeMachine(Cfg, D.Machine));
-      break;
-    case SchedDecision::Kind::Choose:
-      if (LastRun >= 0 &&
-          LastRun < static_cast<int32_t>(Cfg.Machines.size()))
-        Cfg.mutableMachine(LastRun).InjectedChoice = D.Choice;
-      Lines.push_back(D.Choice ? "choose true" : "choose false");
-      break;
-    case SchedDecision::Kind::DropEvent:
-    case SchedDecision::Kind::DupEvent: {
-      auto &Q = Cfg.mutableMachine(D.Machine).Queue;
-      if (D.Aux < 0 || D.Aux >= static_cast<int32_t>(Q.size())) {
-        Lines.push_back("fault: stale queue index (schedule corrupt?)");
-        break;
-      }
-      const bool Dup = D.K == SchedDecision::Kind::DupEvent;
-      Lines.push_back(std::string("fault: ") +
-                      (Dup ? "duplicate " : "drop ") +
-                      EventName(Q[D.Aux].first) + " in queue of " +
-                      RExec.describeMachine(Cfg, D.Machine));
-      if (Dup)
-        Q.push_back(Q[D.Aux]);
-      else
-        Q.erase(Q.begin() + D.Aux);
-      break;
-    }
-    case SchedDecision::Kind::Crash:
-      Lines.push_back("fault: crash " +
-                      RExec.describeMachine(Cfg, D.Machine));
-      RExec.crashMachine(Cfg, D.Machine);
-      break;
-    case SchedDecision::Kind::ForeignFault:
-      if (D.Machine >= 0 &&
-          D.Machine < static_cast<int32_t>(Cfg.Machines.size()))
-        Cfg.mutableMachine(D.Machine).InjectedForeignFail = D.Choice;
-      Lines.push_back(D.Choice ? "fault: foreign call fails (returns ⊥)"
-                               : "foreign call succeeds");
-      break;
-    case SchedDecision::Kind::Run: {
-      LastRun = D.Machine;
-      std::string Desc = "run " + RExec.describeMachine(Cfg, D.Machine);
-      Executor::StepResult R = RExec.step(Cfg, D.Machine);
-      // An enqueue-time error ends its slice at a scheduling point.
-      switch (Cfg.hasError() ? Executor::StepOutcome::Error : R.Outcome) {
-      case Executor::StepOutcome::Error:
-        Lines.push_back(Desc + " -> error: " + Cfg.ErrorMessage);
-        break;
-      case Executor::StepOutcome::ChoicePoint:
-        Lines.push_back(Desc + " -> choice");
-        break;
-      case Executor::StepOutcome::SchedulingPoint:
-        Lines.push_back(Desc +
-                        (R.Created ? " -> created " : " -> sent to ") +
-                        std::to_string(R.Other));
-        break;
-      case Executor::StepOutcome::Blocked:
-        Lines.push_back(Desc + " -> blocked");
-        break;
-      case Executor::StepOutcome::Halted:
-        Lines.push_back(Desc + " -> halted");
-        break;
-      case Executor::StepOutcome::ForeignCall:
-        Lines.push_back(Desc + " -> foreign call");
-        break;
-      }
-      break;
-    }
-    }
-  }
-  return Lines;
+  ReplayResult R = replaySchedule(RExec, Schedule, Opts);
+  R.Steps.insert(R.Steps.begin(), std::move(R.Initial));
+  return std::move(R.Steps);
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,14 +10,18 @@
 /// in an inline array and spill to the heap only past InlineCap. They
 /// are stored bottom-first, making the top's push and pop O(1);
 /// iteration is top-first, the order node keys fold and serialize.
+/// afterSlice is the one statement of how a slice's outcome moves S.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef P_CHECKER_SCHEDSTACK_H
 #define P_CHECKER_SCHEDSTACK_H
 
+#include "runtime/Executor.h"
+
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <iterator>
 #include <vector>
@@ -68,6 +72,31 @@ public:
       InlineSize = static_cast<uint32_t>(
           std::remove(Inline.begin(), Inline.begin() + InlineSize, Id) -
           Inline.begin());
+  }
+
+  /// Moves S after machine \p Id, the top, ran a slice that ended in
+  /// \p R: a send or `new` pushes its target unless already in S, a
+  /// blocked machine pops, a halted one leaves S. Any other outcome
+  /// leaves S as it is: the machine resumes after a choice or a foreign
+  /// call, and an error ends the path.
+  void afterSlice(int32_t Id, const Executor::StepResult &R) {
+    switch (R.Outcome) {
+    case Executor::StepOutcome::SchedulingPoint:
+      if (!contains(R.Other))
+        push(R.Other);
+      return;
+    case Executor::StepOutcome::Blocked:
+      assert(!empty() && top() == Id);
+      pop();
+      return;
+    case Executor::StepOutcome::Halted:
+      remove(Id);
+      return;
+    case Executor::StepOutcome::ChoicePoint:
+    case Executor::StepOutcome::ForeignCall:
+    case Executor::StepOutcome::Error:
+      return;
+    }
   }
 
 private:

@@ -6,7 +6,7 @@
 
 #include "obs/TraceExport.h"
 
-#include "checker/Checker.h"
+#include "checker/Replay.h"
 #include "obs/Json.h"
 #include "pir/Program.h"
 #include "runtime/Executor.h"
@@ -347,67 +347,10 @@ std::string p::obs::renderMsc(const std::vector<TraceEvent> &Events,
 std::string
 p::obs::renderScheduleMsc(const CompiledProgram &Prog,
                           const std::vector<SchedDecision> &Schedule,
-                          bool UseModelBodies) {
-  Executor::Options EO;
-  EO.UseModelBodies = UseModelBodies;
-  // Fault-carrying schedules deduce the foreign-fault-point flag the
-  // same way Replay does (it moves slice boundaries).
-  for (const SchedDecision &D : Schedule)
-    if (D.K == SchedDecision::Kind::ForeignFault) {
-      EO.ForeignFaultPoints = true;
-      break;
-    }
-  Executor Exec(Prog, EO);
+                          const CheckOptions &Opts) {
   TraceRecorder Recorder;
-  TraceSink &Sink = Recorder.openSink();
-  Exec.setTraceSink(&Sink);
-
-  Config Cfg = Exec.makeInitialConfig();
-  int32_t LastRun = -1;
-  for (const SchedDecision &D : Schedule) {
-    switch (D.K) {
-    case SchedDecision::Kind::Delay:
-      Sink.record(TraceKind::Delay, D.Machine);
-      break;
-    case SchedDecision::Kind::Choose:
-      if (LastRun >= 0 && LastRun < static_cast<int32_t>(Cfg.Machines.size()))
-        Cfg.mutableMachine(LastRun).InjectedChoice = D.Choice;
-      break;
-    case SchedDecision::Kind::DropEvent:
-    case SchedDecision::Kind::DupEvent: {
-      auto &Q = Cfg.mutableMachine(D.Machine).Queue;
-      if (D.Aux < 0 || D.Aux >= static_cast<int32_t>(Q.size()))
-        break;
-      const bool Dup = D.K == SchedDecision::Kind::DupEvent;
-      Sink.record(TraceKind::FaultInjected, D.Machine,
-                  static_cast<int32_t>(Dup ? FaultKind::DuplicateEvent
-                                           : FaultKind::DropEvent),
-                  Q[D.Aux].first);
-      if (Dup)
-        Q.push_back(Q[D.Aux]);
-      else
-        Q.erase(Q.begin() + D.Aux);
-      break;
-    }
-    case SchedDecision::Kind::Crash:
-      Exec.crashMachine(Cfg, D.Machine); // Records FaultInjected itself.
-      break;
-    case SchedDecision::Kind::ForeignFault:
-      // The executor records FaultInjected itself when it consumes the
-      // injected failure at the next Run.
-      if (D.Machine >= 0 &&
-          D.Machine < static_cast<int32_t>(Cfg.Machines.size()))
-        Cfg.mutableMachine(D.Machine).InjectedForeignFail = D.Choice;
-      break;
-    case SchedDecision::Kind::Run: {
-      LastRun = D.Machine;
-      Executor::StepResult R = Exec.step(Cfg, D.Machine);
-      (void)R;
-      break;
-    }
-    }
-    if (Cfg.hasError())
-      break;
-  }
+  Executor Exec(Prog);
+  Exec.setTraceSink(&Recorder.openSink());
+  replaySchedule(Exec, Schedule, Opts);
   return renderMsc(Recorder.snapshot(), &Prog);
 }

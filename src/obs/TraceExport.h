@@ -15,9 +15,9 @@
 ///  * Text message-sequence chart — machines as columns, sends as
 ///    arrows; the human-readable view of a counterexample.
 ///
-/// renderScheduleMsc re-executes a checker schedule (the counter-
-/// example's SchedDecisions) with tracing attached and renders the MSC
-/// of exactly that path.
+/// renderScheduleMsc replays a checker schedule (the counterexample's
+/// SchedDecisions) through replaySchedule with tracing attached and
+/// renders the MSC of exactly that path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +31,7 @@
 #include <vector>
 
 namespace p {
+struct CheckOptions;
 struct CompiledProgram;
 struct SchedDecision;
 } // namespace p
@@ -64,13 +65,14 @@ std::string renderMsc(const std::vector<TraceEvent> &Events,
                       const CompiledProgram *Prog = nullptr,
                       size_t MaxRows = 200);
 
-/// Re-executes \p Schedule (e.g. CheckResult::Schedule) against a
-/// fresh initial configuration of \p Prog with tracing attached, and
-/// returns the MSC of that single path. \p UseModelBodies must match
-/// the producing check() run.
+/// Replays \p Schedule (e.g. CheckResult::Schedule) with replaySchedule
+/// under \p Opts, the options of the producing check() run (model
+/// bodies, the slice step limit, the queue bound and overflow policy),
+/// with tracing attached, and returns the MSC of that single path up to
+/// its error.
 std::string renderScheduleMsc(const CompiledProgram &Prog,
                               const std::vector<SchedDecision> &Schedule,
-                              bool UseModelBodies = true);
+                              const CheckOptions &Opts);
 
 } // namespace p::obs
 

@@ -163,29 +163,143 @@ TEST(ParallelChecker, ParallelCounterexampleReplays) {
 
 TEST(ParallelChecker, LazyTraceRenderingMatchesReplayLog) {
   // The counterexample trace is rendered from the schedule after the
-  // search; its run/choice/delay lines must agree with an independent
-  // replay of the same schedule.
-  CompiledProgram Prog =
-      compile(corpus::elevator(corpus::ElevatorBug::MissingDeferCloseDoor));
-  CheckResult R = runWith(Prog, 4, /*Delay=*/2, /*StopOnFirstError=*/true);
-  ASSERT_TRUE(R.ErrorFound);
-  ASSERT_FALSE(R.Trace.empty());
-  // Trace = "initial: ..." line + one line per decision.
-  EXPECT_EQ(R.Trace.size(), R.Schedule.size() + 1);
-  EXPECT_NE(R.Trace.front().find("initial:"), std::string::npos);
-  EXPECT_NE(R.Trace.back().find("error"), std::string::npos);
-  ReplayResult Replay = replaySchedule(Prog, R.Schedule);
-  ASSERT_TRUE(Replay.ErrorReached);
-  // The replay log's run lines describe the same machines in the same
-  // order (replay renders "delay" without the machine name, so compare
-  // the run lines only).
-  size_t RunsChecked = 0;
-  for (size_t I = 0; I != Replay.Steps.size(); ++I)
-    if (Replay.Steps[I].rfind("run ", 0) == 0) {
-      EXPECT_EQ(Replay.Steps[I], R.Trace[I + 1]);
-      ++RunsChecked;
+  // search by the interpreter that replays it: the trace is the
+  // "initial:" line followed by the replay log, line for line. The
+  // serial counterexamples together carry every kind of decision (the
+  // elevator's has delays; each fault case is clean without its fault).
+  struct Case {
+    const char *Name;
+    CompiledProgram Prog;
+    CheckOptions Opts;
+  };
+  auto faults = [](bool Drop, bool Dup, bool Crash, bool Foreign) {
+    CheckOptions Opts;
+    Opts.DelayBound = 0;
+    Opts.Faults.Budget = 1;
+    Opts.Faults.Drop = Drop;
+    Opts.Faults.Duplicate = Dup;
+    Opts.Faults.Crash = Crash;
+    Opts.Faults.FailForeign = Foreign;
+    return Opts;
+  };
+  std::vector<Case> Cases;
+  CheckOptions Delays;
+  Delays.DelayBound = 2;
+  Cases.push_back({"elevator",
+                   compile(corpus::elevator(
+                       corpus::ElevatorBug::MissingDeferCloseDoor)),
+                   Delays});
+  Cases.push_back({"choose", compile(R"(
+main ghost machine G {
+  var A: bool;
+  var B: bool;
+  state S {
+    entry {
+      A = *;
+      B = *;
+      assert(!A || !B);
     }
-  EXPECT_GT(RunsChecked, 0u);
+  }
+}
+)"),
+                   CheckOptions()});
+  // A dropped grant strands a client that then cannot handle Inv.
+  Cases.push_back({"drop", compile(corpus::german(2)),
+                   faults(true, false, false, false)});
+  {
+    // Only a duplicated InvAck reaches the seeded CountAck assertion.
+    CompiledProgram Prog =
+        compile(corpus::german(2, corpus::GermanBug::DroppableInvAck));
+    CheckOptions Opts = faults(false, true, false, false);
+    for (size_t E = 0; E != Prog.Events.size(); ++E)
+      if (Prog.Events[E].Name == "InvAck")
+        Opts.Faults.Events.push_back(static_cast<int32_t>(E));
+    ASSERT_EQ(Opts.Faults.Events.size(), 1u);
+    Cases.push_back({"dup", std::move(Prog), Opts});
+  }
+  // With no delay, Y reaches A before X only when B crashes first.
+  Cases.push_back({"crash", compile(R"(
+event X;
+event Y;
+main machine A {
+  state S {
+    entry {
+      new B(Peer = this);
+      new C(Peer = this);
+    }
+    on X goto T;
+  }
+  state T {
+    entry { }
+    on Y goto T;
+  }
+}
+machine B {
+  var Peer: id;
+  state S { entry { send(Peer, X); } }
+}
+machine C {
+  var Peer: id;
+  state S { entry { send(Peer, Y); } }
+}
+)"),
+                   faults(false, false, true, false)});
+  // The first call succeeds, the second fails and returns ⊥.
+  Cases.push_back({"foreign", compile(R"(
+event Ping;
+main machine M {
+  var Buddy: id;
+  foreign fun FindBuddy(): id model { result = this; }
+  state S {
+    entry {
+      Buddy = FindBuddy();
+      Buddy = FindBuddy();
+      send(Buddy, Ping);
+    }
+    on Ping do Ignore;
+  }
+  action Ignore { skip; }
+}
+)"),
+                   faults(false, false, false, true)});
+
+  std::set<std::pair<SchedDecision::Kind, bool>> Seen;
+  for (Case &C : Cases)
+    for (int Workers : {1, 4}) {
+      C.Opts.Workers = Workers;
+      CheckResult R = check(C.Prog, C.Opts);
+      ASSERT_TRUE(R.ErrorFound) << C.Name << " w=" << Workers;
+      ASSERT_EQ(R.Trace.size(), R.Schedule.size() + 1) << C.Name;
+      EXPECT_EQ(R.Trace.front().rfind("initial: create ", 0), 0u);
+      EXPECT_NE(R.Trace.back().find("-> error: " + R.ErrorMessage),
+                std::string::npos)
+          << R.Trace.back();
+      ReplayResult Replay = replaySchedule(C.Prog, R.Schedule, C.Opts);
+      ASSERT_TRUE(Replay.ErrorReached) << C.Name << " w=" << Workers;
+      EXPECT_EQ(Replay.ErrorMessage, R.ErrorMessage) << C.Name;
+      std::vector<std::string> Rendered{Replay.Initial};
+      Rendered.insert(Rendered.end(), Replay.Steps.begin(),
+                      Replay.Steps.end());
+      EXPECT_EQ(R.Trace, Rendered) << C.Name << " w=" << Workers;
+      if (Workers == 1)
+        for (const SchedDecision &D : R.Schedule)
+          Seen.insert({D.K, D.Choice});
+    }
+  // Every kind, and both outcomes of each binary one.
+  using K = SchedDecision::Kind;
+  for (auto Want : std::set<std::pair<K, bool>>{
+           {K::Run, false},
+           {K::Delay, false},
+           {K::Choose, false},
+           {K::Choose, true},
+           {K::DropEvent, false},
+           {K::DupEvent, false},
+           {K::Crash, false},
+           {K::ForeignFault, false},
+           {K::ForeignFault, true}})
+    EXPECT_TRUE(Seen.count(Want))
+        << "no counterexample carries kind " << static_cast<int>(Want.first)
+        << " choice " << Want.second;
 }
 
 TEST(ParallelChecker, AutoWorkerCountRuns) {

@@ -231,9 +231,38 @@ TEST(TraceCheckerTest, MscRendersCounterexample) {
   CheckResult R = check(Prog, Opts);
   ASSERT_TRUE(R.ErrorFound);
   std::string Msc =
-      obs::renderScheduleMsc(Prog, R.Schedule, Opts.UseModelBodies);
+      obs::renderScheduleMsc(Prog, R.Schedule, Opts);
   EXPECT_NE(Msc.find("assert-failed"), std::string::npos) << Msc;
   EXPECT_NE(Msc.find("Home"), std::string::npos) << Msc;
+
+  // The chart replays under the check's queue bound: the second send
+  // overflows the Receiver's one-slot queue.
+  CompiledProgram Bounded = compile(R"(
+event E1, E2;
+main ghost machine Main {
+  var R: id;
+  state Start {
+    entry {
+      R = new Receiver();
+      send(R, E1);
+      send(R, E2);
+    }
+  }
+}
+machine Receiver {
+  state Wait {
+    entry { }
+    defer E1, E2;
+  }
+}
+)");
+  CheckOptions BoundedOpts;
+  BoundedOpts.MaxQueue = 1;
+  CheckResult Overflow = check(Bounded, BoundedOpts);
+  ASSERT_TRUE(Overflow.ErrorFound);
+  ASSERT_EQ(Overflow.Error, ErrorKind::QueueOverflow);
+  Msc = obs::renderScheduleMsc(Bounded, Overflow.Schedule, BoundedOpts);
+  EXPECT_NE(Msc.find("queue-overflow"), std::string::npos) << Msc;
 }
 
 //===----------------------------------------------------------------------===//

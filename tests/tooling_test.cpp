@@ -142,6 +142,27 @@ TEST(Replay, ReproducesCounterexamples) {
   EXPECT_EQ(R.ErrorMessage, Found.ErrorMessage);
 }
 
+TEST(Replay, RunsUnderTheCheckStepLimit) {
+  // The loop outruns a 50-step slice: the check reports divergence, and
+  // replaying its schedule under the same options must too.
+  CompiledProgram Prog = compile(R"(
+main machine M {
+  var X: int;
+  state S { entry { X = 0; while (X < 100) { X = X + 1; } } }
+}
+)");
+  CheckOptions Opts;
+  Opts.MaxStepsPerSlice = 50;
+  CheckResult Found = check(Prog, Opts);
+  ASSERT_TRUE(Found.ErrorFound);
+  ASSERT_EQ(Found.Error, ErrorKind::Divergence);
+
+  ReplayResult R = replaySchedule(Prog, Found.Schedule, Opts);
+  ASSERT_TRUE(R.ErrorReached);
+  EXPECT_EQ(R.Error, ErrorKind::Divergence);
+  EXPECT_EQ(R.ErrorMessage, Found.ErrorMessage);
+}
+
 TEST(Replay, ReproducesNondetDependentErrors) {
   CompiledProgram Prog = compile(R"(
 main ghost machine G {

@@ -100,8 +100,7 @@ void expectReplays(const CompiledProgram &Prog, CheckOptions Opts,
       Last = D.K;
   EXPECT_EQ(Last, Branch);
 
-  const ReplayResult Replay = replaySchedule(Prog, Serial.Schedule, true,
-                                             Opts.MaxQueue, Opts.Overflow);
+  const ReplayResult Replay = replaySchedule(Prog, Serial.Schedule, Opts);
   ASSERT_TRUE(Replay.ErrorReached);
   EXPECT_EQ(Replay.Error, Serial.Error);
   EXPECT_EQ(Replay.ErrorMessage, Serial.ErrorMessage);
@@ -111,8 +110,7 @@ void expectReplays(const CompiledProgram &Prog, CheckOptions Opts,
   const CheckResult Parallel = check(Prog, Opts);
   ASSERT_TRUE(Parallel.ErrorFound);
   EXPECT_EQ(Parallel.Error, Expected);
-  const ReplayResult Again = replaySchedule(Prog, Parallel.Schedule, true,
-                                            Opts.MaxQueue, Opts.Overflow);
+  const ReplayResult Again = replaySchedule(Prog, Parallel.Schedule, Opts);
   ASSERT_TRUE(Again.ErrorReached);
   EXPECT_EQ(Again.ErrorMessage, Parallel.ErrorMessage);
   for (const CheckResult *R : {&Serial, &Parallel})
