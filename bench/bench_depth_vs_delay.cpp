@@ -15,60 +15,31 @@
 //   * the depth bound a depth-bounded search needs before it can find
 //     the bug at all (the bug sits deep in the causal execution).
 //
+// --report writes the run report (obs/Report.h); --help lists the flags.
+//
 //===----------------------------------------------------------------------===//
 
-#include "checker/Checker.h"
 #include "corpus/Corpus.h"
-#include "frontend/Frontend.h"
-#include "host/LatencyProbe.h"
-#include "obs/BenchJson.h"
-#include "obs/Report.h"
+#include "tool/Tool.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 using namespace p;
 
 namespace {
 
-std::string JsonPath;      ///< --json <file|->; empty = no report.
-std::string ReportPath;    ///< --report <base>: <base>.{json,html}.
-std::FILE *Human = stdout; ///< Tables; stderr when the JSON owns stdout.
-
-obs::BenchReport Report("depth_vs_delay");
-obs::RunReport RunRep("depth_vs_delay");
-
-CompiledProgram compileOrExit(const std::string &Src) {
-  CompileResult R = compileString(Src);
-  if (!R.ok()) {
-    std::fprintf(stderr, "compile error:\n%s", R.Diags.str().c_str());
-    std::exit(1);
-  }
-  return std::move(*R.Program);
-}
+tool::Session S("depth_vs_delay");
+std::FILE *Human = stdout; ///< Tables; stderr when the report owns stdout.
 
 void addRecord(const char *Program, const char *Strategy, int Bound,
                uint64_t MaxNodes, const CompiledProgram &Prog,
                const CheckResult &R) {
-  if (JsonPath.empty() && ReportPath.empty())
-    return;
-  obs::Json Config = obs::Json::object();
-  Config.set("program", Program);
+  obs::Json Config = S.config(Program);
   Config.set("strategy", Strategy);
   Config.set("bound", Bound);
   Config.set("max_nodes", MaxNodes);
-  if (!ReportPath.empty())
-    RunRep.addCheckRun(Prog, Config, R);
-  if (!JsonPath.empty())
-    Report.addRun(std::move(Config), Prog, R);
-}
-
-/// Coverage/profile ride along whenever a machine-readable artifact is
-/// requested; both are observers and leave counters untouched.
-void installObs(CheckOptions &Opts) {
-  Opts.TrackCoverage = !JsonPath.empty() || !ReportPath.empty();
-  Opts.Profile = !ReportPath.empty();
+  S.record(Prog, std::move(Config), R);
 }
 
 void compareOn(const char *Name, const char *Slug,
@@ -77,9 +48,8 @@ void compareOn(const char *Name, const char *Slug,
 
   // Delay-bounded: sweep d upward.
   for (int D = 0; D <= 3; ++D) {
-    CheckOptions Opts;
+    CheckOptions Opts = S.options("");
     Opts.DelayBound = D;
-    installObs(Opts);
     CheckResult R = check(Prog, Opts);
     std::fprintf(Human,
                  "  delay  d=%-4d %-10s nodes=%-9llu states=%-9llu "
@@ -96,11 +66,10 @@ void compareOn(const char *Name, const char *Slug,
   // Depth-bounded: double the depth bound until the bug appears or the
   // budget dies. Every level multiplies the schedule tree.
   for (int Depth = 8; Depth <= 256; Depth *= 2) {
-    CheckOptions Opts;
+    CheckOptions Opts = S.options("");
     Opts.Strategy = SearchStrategy::DepthBounded;
     Opts.DepthBound = Depth;
     Opts.MaxNodes = 2000000;
-    installObs(Opts);
     CheckResult R = check(Prog, Opts);
     bool NodeCapped = R.Stats.NodesExplored >= Opts.MaxNodes;
     std::fprintf(Human,
@@ -120,24 +89,20 @@ void compareOn(const char *Name, const char *Slug,
 } // namespace
 
 int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
-      JsonPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
-      ReportPath = argv[++I];
-  }
-  if (JsonPath == "-")
-    Human = stderr; // Keep stdout machine-clean for the report.
+  tool::CommandLine Cmd{"bench_depth_vs_delay", "[flags]",
+                        S.flags({"--report"})};
+  Cmd.parse(argc, argv);
+  Human = S.human();
   std::fprintf(Human, "=== Ablation: depth-bounded vs delay-bounded search "
                       "(Section 5) ===\n\n");
   compareOn("elevator / missing-defer-close", "elevator_defer_close",
-            compileOrExit(
+            tool::compileOrExit(
                 corpus::elevator(corpus::ElevatorBug::MissingDeferCloseDoor)));
   compareOn("elevator / missing-defer-timer", "elevator_defer_timer",
-            compileOrExit(
+            tool::compileOrExit(
                 corpus::elevator(corpus::ElevatorBug::MissingDeferTimerFired)));
   compareOn("german / skip-owner-invalidation", "german_skip_inval",
-            compileOrExit(
+            tool::compileOrExit(
                 corpus::german(2, corpus::GermanBug::SkipOwnerInvalidation)));
   std::fprintf(Human,
                "observation (matches the paper): the delaying scheduler "
@@ -145,12 +110,5 @@ int main(int argc, char **argv) {
                "depth-bounded search pays an exponential tree before the "
                "bug's depth is even reachable.\n");
 
-  if (!JsonPath.empty() && !Report.writeTo(JsonPath)) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n",
-                 JsonPath.c_str());
-    return 1;
-  }
-  if (!ReportPath.empty() && !writeReportWithProbe(RunRep, ReportPath))
-    return 1;
-  return 0;
+  return S.finish();
 }

@@ -26,85 +26,27 @@
 //     an InvAck in Idle — and found immediately with one duplicated
 //     InvAck at budget 1.
 //
-// --json emits the stable bench-report schema (obs/BenchJson.h);
-// --quick shrinks the sweep for smoke tests; --workers N as in the
-// Figure 7 harness (fault exploration is worker-count deterministic).
+// --report writes the run report (obs/Report.h); --quick shrinks the
+// sweep for smoke tests; --workers N as in the Figure 7 harness (fault
+// exploration is worker-count deterministic). --help lists the flags.
 //
 //===----------------------------------------------------------------------===//
 
-#include "checker/Checker.h"
 #include "corpus/Corpus.h"
-#include "frontend/Frontend.h"
-#include "host/LatencyProbe.h"
-#include "obs/BenchJson.h"
-#include "obs/Report.h"
 #include "support/Interrupt.h"
+#include "tool/Tool.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 using namespace p;
 
 namespace {
 
-int WorkersFlag = 1;     ///< --workers N (0 = hardware_concurrency).
-bool QuickFlag = false;  ///< --quick: small sweep for smoke tests.
-std::string JsonPath;    ///< --json <file|->; empty = no report.
-std::string ReportPath;  ///< --report <base>: <base>.{json,html}.
+bool QuickFlag = false; ///< --quick: small sweep for smoke tests.
+tool::Session S("fault_injection");
 std::FILE *Human = stdout;
-Reduction ReduceFlag = Reduction::Off; ///< --reduction (parseReductionFlag).
-std::string CheckpointBase;        ///< --checkpoint <base>: per-run files.
-double CheckpointIntervalFlag = 30; ///< --checkpoint-interval seconds.
-bool ResumeFlag = false;           ///< --resume: continue per-run files.
-
-obs::BenchReport Report("fault_injection");
-obs::RunReport RunRep("fault_injection");
-
-/// Per-run checkpoint files (<base>.<slug>.ckpt): an interrupted sweep
-/// re-run with --resume reloads completed runs instantly and continues
-/// the interrupted one. --resume only resumes files that exist.
-void installCrashSafety(CheckOptions &Opts, const std::string &RunSlug) {
-  Opts.InterruptFlag = &interrupt::flag();
-  if (CheckpointBase.empty())
-    return;
-  Opts.CheckpointPath = CheckpointBase + "." + RunSlug + ".ckpt";
-  Opts.CheckpointIntervalSeconds = CheckpointIntervalFlag;
-  if (ResumeFlag) {
-    if (std::FILE *F = std::fopen(Opts.CheckpointPath.c_str(), "rb")) {
-      std::fclose(F);
-      Opts.Resume = true;
-    }
-  }
-}
-
-/// Failed resumes are hard errors (exit 3, never a silent restart);
-/// interrupts flush the partial report rows (atomic writes) and exit
-/// 128+signal after a partial-stats block on stderr.
-void handleRunExit(const CheckResult &R) {
-  if (!R.ResumeError.empty()) {
-    std::fprintf(stderr, "resume failed: %s\n", R.ResumeError.c_str());
-    std::exit(3);
-  }
-  if (!R.Stats.Interrupted)
-    return;
-  if (!JsonPath.empty())
-    Report.writeTo(JsonPath);
-  if (!ReportPath.empty())
-    writeReportWithProbe(RunRep, ReportPath);
-  interrupt::printInterruptedStats(R.Stats);
-  std::exit(interrupt::exitCode());
-}
-
-CompiledProgram compileOrExit(const std::string &Src) {
-  CompileResult R = compileString(Src);
-  if (!R.ok()) {
-    std::fprintf(stderr, "compile error:\n%s", R.Diags.str().c_str());
-    std::exit(1);
-  }
-  return std::move(*R.Program);
-}
 
 int32_t eventId(const CompiledProgram &Prog, const char *Name) {
   for (size_t I = 0; I != Prog.Events.size(); ++I)
@@ -116,52 +58,24 @@ int32_t eventId(const CompiledProgram &Prog, const char *Name) {
 
 void record(const char *Slug, int DelayBound, int Budget, uint64_t NodeCap,
             const CompiledProgram &Prog, const CheckResult &R) {
-  if (JsonPath.empty() && ReportPath.empty())
-    return;
-  obs::Json Config = obs::Json::object();
-  Config.set("program", Slug);
+  obs::Json Config = S.config(Slug);
   Config.set("delay_bound", DelayBound);
   Config.set("fault_budget", Budget);
   Config.set("node_cap", NodeCap);
-  Config.set("workers", WorkersFlag);
-  Config.set("reduction", reductionName(ReduceFlag));
-  if (!ReportPath.empty())
-    RunRep.addCheckRun(Prog, Config, R);
-  if (!JsonPath.empty())
-    Report.addRun(std::move(Config), Prog, R);
-}
-
-/// Coverage/profile whenever a machine-readable artifact is requested;
-/// the profile's faults_used histogram and fault_kinds block are the
-/// fault-site coverage a report cites.
-void installObs(CheckOptions &Opts) {
-  Opts.TrackCoverage = !JsonPath.empty() || !ReportPath.empty();
-  Opts.Profile = !ReportPath.empty();
+  S.record(Prog, std::move(Config), R);
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (parseReductionFlag(argc, argv, I, ReduceFlag))
-      continue;
-    if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
-      WorkersFlag = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
-      JsonPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
-      ReportPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--quick"))
-      QuickFlag = true;
-    else if (!std::strcmp(argv[I], "--checkpoint") && I + 1 < argc)
-      CheckpointBase = argv[++I];
-    else if (!std::strcmp(argv[I], "--checkpoint-interval") && I + 1 < argc)
-      CheckpointIntervalFlag = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--resume"))
-      ResumeFlag = true;
-  }
-  if (JsonPath == "-")
-    Human = stderr; // Keep stdout machine-clean for the report.
+  tool::CommandLine Cmd{"bench_fault_injection", "[flags]",
+                        S.flags({"--workers", "--reduction", "--report",
+                                 "--checkpoint", "--checkpoint-interval",
+                                 "--resume"})};
+  Cmd.Flags.push_back(
+      {"--quick", "", &QuickFlag, "small sweep for smoke tests"});
+  Cmd.parse(argc, argv);
+  Human = S.human();
   interrupt::installHandlers();
 
   const int DelayBound = QuickFlag ? 1 : 3;
@@ -174,19 +88,15 @@ int main(int argc, char **argv) {
   std::fprintf(Human, "%-10s %-12s %-12s %-10s %-8s %-10s %s\n",
                "budget_k", "states", "nodes", "faults", "errors",
                "seconds", "note");
-  CompiledProgram German = compileOrExit(corpus::german(2));
+  CompiledProgram German = tool::compileOrExit(corpus::german(2));
   for (int Budget = 0; Budget <= 2; ++Budget) {
-    CheckOptions Opts;
+    CheckOptions Opts = S.options("german2-k" + std::to_string(Budget));
     Opts.DelayBound = DelayBound;
     Opts.MaxNodes = NodeCap;
     Opts.StopOnFirstError = false;
-    Opts.Workers = WorkersFlag;
     Opts.Faults.Budget = Budget; // Drop + duplicate, the defaults.
-    Opts.Reduce = ReduceFlag;
-    installObs(Opts);
-    installCrashSafety(Opts, "german2-k" + std::to_string(Budget));
     CheckResult R = check(German, Opts);
-    handleRunExit(R);
+    record("german2", DelayBound, Budget, NodeCap, German, R);
     std::fprintf(Human, "%-10d %-12llu %-12llu %-10llu %-8llu %-10.3f %s\n",
                  Budget,
                  static_cast<unsigned long long>(R.Stats.DistinctStates),
@@ -194,7 +104,6 @@ int main(int argc, char **argv) {
                  static_cast<unsigned long long>(R.Stats.FaultsInjected),
                  static_cast<unsigned long long>(R.Stats.ErrorsFound),
                  R.Stats.Seconds, R.Stats.Exhausted ? "" : "node-cap");
-    record("german2", DelayBound, Budget, NodeCap, German, R);
   }
 
   std::fprintf(Human,
@@ -202,23 +111,21 @@ int main(int argc, char **argv) {
                "fault budget ===\n");
   std::fprintf(Human, "%-10s %-12s %-10s %s\n", "budget_k", "states",
                "seconds", "result");
-  CompiledProgram Buggy = compileOrExit(
+  CompiledProgram Buggy = tool::compileOrExit(
       corpus::german(2, corpus::GermanBug::DroppableInvAck));
   for (int Budget = 0; Budget <= 1; ++Budget) {
-    CheckOptions Opts;
+    CheckOptions Opts =
+        S.options("droppable-invack-k" + std::to_string(Budget));
     Opts.DelayBound = QuickFlag ? 0 : 2;
-    Opts.Workers = WorkersFlag;
     Opts.Faults.Budget = Budget;
     // Aim the adversary at the ack message so the counterexample is the
     // seeded bug, not base German's shallower duplicated-grant error.
     Opts.Faults.Drop = false;
     Opts.Faults.Duplicate = true;
     Opts.Faults.Events.push_back(eventId(Buggy, "InvAck"));
-    Opts.Reduce = ReduceFlag;
-    installObs(Opts);
-    installCrashSafety(Opts, "droppable-invack-k" + std::to_string(Budget));
     CheckResult R = check(Buggy, Opts);
-    handleRunExit(R);
+    record("german2_droppable_invack", Opts.DelayBound, Budget,
+           Opts.MaxNodes, Buggy, R);
     std::fprintf(Human, "%-10d %-12llu %-10.3f %s%s\n", Budget,
                  static_cast<unsigned long long>(R.Stats.DistinctStates),
                  R.Stats.Seconds,
@@ -226,16 +133,7 @@ int main(int argc, char **argv) {
                               : (R.Stats.Exhausted ? "clean (exhausted)"
                                                    : "clean"),
                  R.ErrorFound ? " (schedule replayable)" : "");
-    record("german2_droppable_invack", Opts.DelayBound, Budget,
-           Opts.MaxNodes, Buggy, R);
   }
 
-  if (!JsonPath.empty() && !Report.writeTo(JsonPath)) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n",
-                 JsonPath.c_str());
-    return 1;
-  }
-  if (!ReportPath.empty() && !writeReportWithProbe(RunRep, ReportPath))
-    return 1;
-  return 0;
+  return S.finish();
 }

@@ -27,23 +27,20 @@
 // uncontended mutex, so the speedup is reported, not asserted. CI gates
 // on an absolute events/sec floor instead (--min-events-per-sec).
 //
-// --json emits the stable bench-report schema (obs/BenchJson.h, free-
-// form stats); --quick shrinks the load for smoke tests; --report
-// writes the run-report pair with this bench's live host section.
+// --report writes the run report (obs/Report.h): one measure record per
+// pump and the last pump's live host section; --quick shrinks the load
+// for smoke tests; --help lists the flags.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
-#include "frontend/Frontend.h"
 #include "host/Host.h"
-#include "obs/BenchJson.h"
-#include "obs/Report.h"
+#include "obs/Metrics.h"
+#include "tool/Tool.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -58,24 +55,10 @@ int ProducersFlag = 4;    ///< --producers N: load-generator threads.
 int EventsFlag = 0;       ///< --events N per producer (0 = default).
 int SubsFlag = 4;         ///< --subs N: subscribers behind the broker.
 bool QuickFlag = false;   ///< --quick: small load for smoke tests.
-std::string JsonPath;     ///< --json <file|->; empty = no report.
-std::string ReportPath;   ///< --report <base>: <base>.{json,html}.
 double MinEps = 0;        ///< --min-events-per-sec X: CI floor (0 = off).
 std::string ModeFlag = "both"; ///< --mode serial|reactor|both.
+tool::Session S("host_throughput");
 std::FILE *Human = stdout;
-
-obs::BenchReport Report("host_throughput");
-
-CompiledProgram compileOrExit(const std::string &Src) {
-  LowerOptions Opts;
-  Opts.EraseGhosts = true; // pubSub has no ghosts; erase for parity.
-  CompileResult R = compileString(Src, Opts);
-  if (!R.ok()) {
-    std::fprintf(stderr, "compile error:\n%s", R.Diags.str().c_str());
-    std::exit(1);
-  }
-  return std::move(*R.Program);
-}
 
 struct ModeResult {
   double Seconds = 0;
@@ -150,8 +133,6 @@ ModeResult runMode(bool UseReactor, const CompiledProgram &Prog,
 }
 
 void record(const char *Mode, const ModeResult &R) {
-  if (JsonPath.empty())
-    return;
   obs::Json Config = obs::Json::object();
   Config.set("program", "pubsub");
   Config.set("subscribers", SubsFlag);
@@ -170,7 +151,7 @@ void record(const char *Mode, const ModeResult &R) {
   Stats.set("mailbox_spills", R.Spills);
   Stats.set("latency_dropped", R.LatencyDropped);
   Stats.set("queue_depth_highwater", R.HighWater);
-  Report.addRun(std::move(Config), std::move(Stats), R.Seconds);
+  S.Report.addMeasureRun(std::move(Config), std::move(Stats), R.Seconds);
 }
 
 void printRow(const char *Mode, const ModeResult &R) {
@@ -184,34 +165,28 @@ void printRow(const char *Mode, const ModeResult &R) {
 } // namespace
 
 int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--workers") && I + 1 < argc)
-      WorkersFlag = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--producers") && I + 1 < argc)
-      ProducersFlag = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--events") && I + 1 < argc)
-      EventsFlag = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--subs") && I + 1 < argc)
-      SubsFlag = std::atoi(argv[++I]);
-    else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
-      JsonPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--report") && I + 1 < argc)
-      ReportPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--mode") && I + 1 < argc)
-      ModeFlag = argv[++I];
-    else if (!std::strcmp(argv[I], "--min-events-per-sec") && I + 1 < argc)
-      MinEps = std::atof(argv[++I]);
-    else if (!std::strcmp(argv[I], "--quick"))
-      QuickFlag = true;
-  }
-  if (JsonPath == "-")
-    Human = stderr; // Keep stdout machine-clean for the report.
-  if (ProducersFlag < 1)
-    ProducersFlag = 1;
-  if (EventsFlag <= 0)
+  tool::CommandLine Cmd{"bench_host_throughput", "[flags]",
+                        S.flags({"--report"})};
+  Cmd.Flags.insert(
+      Cmd.Flags.end(),
+      {{"--workers", "N", &WorkersFlag, "reactor workers (0 = every core)"},
+       {"--producers", "N", &ProducersFlag, "load-generator threads", 1},
+       {"--events", "N", &EventsFlag,
+        "events per producer (0 = 25000, 2000 with --quick)", 0},
+       {"--subs", "N", &SubsFlag, "subscribers behind the broker", 1},
+       {"--mode", "serial|reactor|both", &ModeFlag, "which pumps to run"},
+       {"--min-events-per-sec", "X", &MinEps,
+        "fail below this delivered rate (0 = off)"},
+       {"--quick", "", &QuickFlag, "small load for smoke tests"}});
+  Cmd.parse(argc, argv);
+  if (ModeFlag != "serial" && ModeFlag != "reactor" && ModeFlag != "both")
+    Cmd.fail("--mode wants serial|reactor|both, got '" + ModeFlag + "'");
+  Human = S.human();
+  if (EventsFlag == 0)
     EventsFlag = QuickFlag ? 2000 : 25000;
 
-  CompiledProgram Prog = compileOrExit(corpus::pubSub(SubsFlag));
+  CompiledProgram Prog =
+      tool::compileOrExit(corpus::pubSub(SubsFlag), /*EraseGhosts=*/true);
 
   std::fprintf(Human,
                "=== Host throughput: pubsub (%d subscribers), %d "
@@ -247,25 +222,14 @@ int main(int argc, char **argv) {
 
   if (Serial.Failed || Reactor.Failed)
     return 1;
-  if (!JsonPath.empty() && !Report.writeTo(JsonPath)) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n",
-                 JsonPath.c_str());
-    return 1;
-  }
-  if (!ReportPath.empty()) {
-    obs::RunReport RunRep("host_throughput");
+  if (ReportHost) {
     obs::MetricsRegistry Registry;
-    if (ReportHost) {
-      ReportHost->exportMetrics(Registry);
-      RunRep.setHost(*ReportHost);
-      RunRep.setMetrics(Registry);
-    }
-    std::string Why;
-    if (!RunRep.writeTo(ReportPath, &Why)) {
-      std::fprintf(stderr, "cannot write run report: %s\n", Why.c_str());
-      return 1;
-    }
+    ReportHost->exportMetrics(Registry);
+    S.Report.setHost(*ReportHost);
+    S.Report.setMetrics(Registry);
   }
+  if (int Rc = S.finish())
+    return Rc;
   const double Measured =
       RanReactor ? Reactor.EventsPerSec : Serial.EventsPerSec;
   if (MinEps > 0 && Measured < MinEps) {

@@ -21,6 +21,9 @@
 //      a hand-written C driver, run both on one million events, and
 //      report ns/event side by side — the paper's actual configuration.
 //
+// --report times the drivers directly instead (see runReportMode);
+// --benchmark_* flags go to google-benchmark; --help lists the flags.
+//
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CCodeGen.h"
@@ -28,8 +31,8 @@
 #include "fault/FaultPlan.h"
 #include "frontend/Frontend.h"
 #include "host/Host.h"
-#include "obs/BenchJson.h"
-#include "obs/Report.h"
+#include "obs/Metrics.h"
+#include "tool/Tool.h"
 
 #include <benchmark/benchmark.h>
 
@@ -37,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -63,16 +65,8 @@ FaultPlan sec41FaultPlan() {
 }
 
 CompiledProgram &erasedSwitchLed() {
-  static CompiledProgram Prog = [] {
-    LowerOptions Opts;
-    Opts.EraseGhosts = true;
-    CompileResult R = compileString(corpus::switchLed(), Opts);
-    if (!R.ok()) {
-      std::fprintf(stderr, "compile error:\n%s", R.Diags.str().c_str());
-      std::exit(1);
-    }
-    return std::move(*R.Program);
-  }();
+  static CompiledProgram Prog =
+      tool::compileOrExit(corpus::switchLed(), /*EraseGhosts=*/true);
   return Prog;
 }
 
@@ -340,18 +334,31 @@ void runGeneratedCExperiment() {
 }
 
 //===----------------------------------------------------------------------===//
-// --json mode: manual timing into the stable bench-report schema
+// --report mode: manual timing into measure records
 //===----------------------------------------------------------------------===//
 
-/// google-benchmark owns stdout and its JSON flavor does not match the
-/// project schema, so --json times both drivers directly (steady_clock
-/// over a fixed cycle count) and emits obs/BenchJson.h records. The
-/// generated-C experiment is skipped: it shells out to the system C
-/// compiler, which a machine-readable smoke run should not depend on.
-int runJsonMode(const std::string &Path) {
+/// google-benchmark owns stdout and its JSON flavor is not the run
+/// report, so --report times each driver once directly (steady_clock
+/// over a fixed cycle count) into one measure record each. The
+/// interpreter run's own host supplies the report's host section
+/// (dispatch latency p50/p99, queue high-water, events/sec) and its
+/// p_host_* metrics. The generated-C experiment is skipped: it shells
+/// out to the system C compiler, which a machine-readable smoke run
+/// should not depend on.
+int runReportMode(tool::Session &S) {
   using Clock = std::chrono::steady_clock;
   constexpr uint64_t Cycles = 100000; // 400k events per driver.
-  obs::BenchReport Report("sec41_overhead");
+  auto Record = [&](const char *Driver, double Secs,
+                    obs::Json Config = obs::Json::object(),
+                    obs::Json Stats = obs::Json::object()) {
+    const double NsPerEvent = Secs * 1e9 / (4.0 * Cycles);
+    std::fprintf(S.human(), "%-22s %8.1f ns/event\n", Driver, NsPerEvent);
+    Config.set("driver", Driver);
+    Config.set("cycles", Cycles);
+    Stats.set("events", 4 * Cycles);
+    Stats.set("ns_per_event", NsPerEvent);
+    S.Report.addMeasureRun(std::move(Config), std::move(Stats), Secs);
+  };
 
   {
     Host H(erasedSwitchLed());
@@ -369,13 +376,11 @@ int runJsonMode(const std::string &Path) {
                    H.errorMessage().c_str());
       return 1;
     }
-    obs::Json Config = obs::Json::object();
-    Config.set("driver", "p_interpreter");
-    Config.set("cycles", Cycles);
-    obs::Json Stats = obs::Json::object();
-    Stats.set("events", 4 * Cycles);
-    Stats.set("ns_per_event", Secs * 1e9 / (4.0 * Cycles));
-    Report.addRun(std::move(Config), std::move(Stats), Secs);
+    Record("p_interpreter", Secs);
+    S.Report.setHost(H);
+    obs::MetricsRegistry Registry;
+    H.exportMetrics(Registry);
+    S.Report.setMetrics(Registry);
   }
 
   {
@@ -389,13 +394,7 @@ int runJsonMode(const std::string &Path) {
       benchmark::DoNotOptimize(D);
     }
     double Secs = std::chrono::duration<double>(Clock::now() - T0).count();
-    obs::Json Config = obs::Json::object();
-    Config.set("driver", "handwritten_cpp");
-    Config.set("cycles", Cycles);
-    obs::Json Stats = obs::Json::object();
-    Stats.set("events", 4 * Cycles);
-    Stats.set("ns_per_event", Secs * 1e9 / (4.0 * Cycles));
-    Report.addRun(std::move(Config), std::move(Stats), Secs);
+    Record("handwritten_cpp", Secs);
   }
 
   // --fault-seed adds a third driver: the interpreter behind the seeded
@@ -432,92 +431,33 @@ int runJsonMode(const std::string &Path) {
     Duplicated += H->stats().EventsDuplicated;
     Delayed += H->stats().EventsDelayed;
     obs::Json Config = obs::Json::object();
-    Config.set("driver", "p_interpreter_faulty");
-    Config.set("cycles", Cycles);
     Config.set("fault_seed", FaultSeedFlag);
     obs::Json Stats = obs::Json::object();
-    Stats.set("events", 4 * Cycles);
-    Stats.set("ns_per_event", Secs * 1e9 / (4.0 * Cycles));
     Stats.set("driver_restarts", Restarts);
     Stats.set("events_dropped", Dropped);
     Stats.set("events_duplicated", Duplicated);
     Stats.set("events_delayed", Delayed);
-    Report.addRun(std::move(Config), std::move(Stats), Secs);
+    Record("p_interpreter_faulty", Secs, std::move(Config),
+           std::move(Stats));
   }
-
-  if (!Report.writeTo(Path)) {
-    std::fprintf(stderr, "cannot write JSON report to %s\n", Path.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-/// --report mode: a live interpreter-driver run whose host section
-/// (dispatch latency p50/p99, queue high-water, events/sec) and
-/// p_host_* metrics dump become the run report. This bench has no
-/// check() runs, so the runs array stays empty — valid per the schema
-/// because the host section is present.
-int runReportMode(const std::string &Base) {
-  obs::RunReport RunRep("sec41_overhead");
-  Host H(erasedSwitchLed());
-  int32_t Id = H.createMachine("SwitchLedDriver");
-  constexpr int Cycles = 25000;
-  for (int I = 0; I != Cycles && Id >= 0; ++I) {
-    H.addEvent(Id, "SwitchedOn");
-    H.addEvent(Id, "LedOk");
-    H.addEvent(Id, "SwitchedOff");
-    H.addEvent(Id, "LedOk");
-  }
-  if (H.hasError()) {
-    std::fprintf(stderr, "interpreter driver errored: %s\n",
-                 H.errorMessage().c_str());
-    return 1;
-  }
-  RunRep.setHost(H);
-  obs::MetricsRegistry Registry;
-  H.exportMetrics(Registry);
-  RunRep.setMetrics(Registry);
-  std::string Why;
-  if (!RunRep.writeTo(Base, &Why)) {
-    std::fprintf(stderr, "cannot write report %s: %s\n", Base.c_str(),
-                 Why.c_str());
-    return 1;
-  }
-  return 0;
+  return S.finish();
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  // Strip --json, --report and --fault-seed before google-benchmark
-  // sees (and rejects) them.
-  std::string JsonPath;
-  std::string ReportPath;
-  std::vector<char *> Args;
-  for (int I = 0; I < argc; ++I) {
-    if (!std::strcmp(argv[I], "--json") && I + 1 < argc) {
-      JsonPath = argv[++I];
-      continue;
-    }
-    if (!std::strcmp(argv[I], "--report") && I + 1 < argc) {
-      ReportPath = argv[++I];
-      continue;
-    }
-    if (!std::strcmp(argv[I], "--fault-seed") && I + 1 < argc) {
-      FaultSeedFlag = std::strtoull(argv[++I], nullptr, 10);
-      HasFaultSeed = true;
-      continue;
-    }
-    Args.push_back(argv[I]);
-  }
-  if (!ReportPath.empty()) {
-    if (int Rc = runReportMode(ReportPath))
-      return Rc;
-    if (JsonPath.empty())
-      return 0;
-  }
-  if (!JsonPath.empty())
-    return runJsonMode(JsonPath);
+  tool::Session S("sec41_overhead");
+  std::vector<char *> Args; // argv[0] and the --benchmark_* flags.
+  tool::CommandLine Cmd{"bench_sec41_overhead", "[flags] [--benchmark_*]",
+                        S.flags({"--report"})};
+  Cmd.Flags.push_back({"--fault-seed", "S", &FaultSeedFlag,
+                       "seeded faulty transport for the interpreter driver"});
+  Cmd.PassPrefix = "--benchmark_";
+  Cmd.Passed = &Args;
+  Cmd.parse(argc, argv);
+  HasFaultSeed = Cmd.given("--fault-seed");
+  if (S.reporting())
+    return runReportMode(S);
 
   int NewArgc = static_cast<int>(Args.size());
   benchmark::Initialize(&NewArgc, Args.data());

@@ -15,26 +15,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "checker/Checker.h"
 #include "corpus/Corpus.h"
-#include "frontend/Frontend.h"
 #include "host/Host.h"
+#include "tool/Tool.h"
 
 #include <cstdio>
 
 using namespace p;
-
-static CompiledProgram compileOrExit(const std::string &Src,
-                                     bool Erase = false) {
-  LowerOptions Opts;
-  Opts.EraseGhosts = Erase;
-  CompileResult R = compileString(Src, Opts);
-  if (!R.ok()) {
-    std::fprintf(stderr, "compile error:\n%s", R.Diags.str().c_str());
-    std::exit(1);
-  }
-  return std::move(*R.Program);
-}
+using tool::compileOrExit;
 
 int main() {
   std::printf("== 1. Verify the elevator model ==\n");

@@ -15,6 +15,9 @@
 // Example:
 //   ./build/examples/example_pc check my_driver.p -d 2
 //
+// --help lists the flags. An unknown flag, a missing value or a
+// malformed number prints the reason and the usage and exits 2.
+//
 //===----------------------------------------------------------------------===//
 
 #include "checker/Checker.h"
@@ -22,9 +25,9 @@
 #include "codegen/CCodeGen.h"
 #include "frontend/Frontend.h"
 #include "pir/Dot.h"
+#include "tool/Tool.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -32,18 +35,6 @@
 using namespace p;
 
 namespace {
-
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: pc <check|live|emit-c|dump|dot> file.p [options]\n"
-      "  check:  -d N (delay bound), --depth N, --max-nodes N,\n"
-      "          --coverage (structural coverage report)\n"
-      "  live:   -d N (delay bound)\n"
-      "  emit-c: -o DIR (output directory), --name BASE\n"
-      "  dot:    --machine NAME (one machine; default: all)\n");
-  return 2;
-}
 
 std::string readFile(const std::string &Path, bool &Ok) {
   std::ifstream In(Path);
@@ -136,11 +127,6 @@ int cmdDump(const CompiledProgram &Prog) {
 } // namespace
 
 int main(int argc, char **argv) {
-  if (argc < 3)
-    return usage();
-  std::string Cmd = argv[1];
-  std::string Path = argv[2];
-
   int Delay = 2;
   int Depth = 0;
   uint64_t MaxNodes = 0;
@@ -148,36 +134,26 @@ int main(int argc, char **argv) {
   std::string Base = "pgen";
   std::string MachineName;
   bool Coverage = false;
-  for (int I = 3; I < argc; ++I) {
-    std::string Arg = argv[I];
-    auto next = [&]() -> const char * {
-      return I + 1 < argc ? argv[++I] : nullptr;
-    };
-    if (Arg == "-d") {
-      if (const char *V = next())
-        Delay = std::atoi(V);
-    } else if (Arg == "--depth") {
-      if (const char *V = next())
-        Depth = std::atoi(V);
-    } else if (Arg == "--max-nodes") {
-      if (const char *V = next())
-        MaxNodes = std::strtoull(V, nullptr, 10);
-    } else if (Arg == "-o") {
-      if (const char *V = next())
-        OutDir = V;
-    } else if (Arg == "--name") {
-      if (const char *V = next())
-        Base = V;
-    } else if (Arg == "--machine") {
-      if (const char *V = next())
-        MachineName = V;
-    } else if (Arg == "--coverage") {
-      Coverage = true;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", Arg.c_str());
-      return usage();
-    }
-  }
+  std::vector<std::string> Args; // <command> file.p
+  tool::CommandLine Cmd{
+      "pc",
+      "<check|live|emit-c|dump|dot> file.p [flags]",
+      {{"-d", "N", &Delay, "check, live: delay bound (default 2)", 0},
+       {"--depth", "N", &Depth, "check: depth bound (0 = none)", 0},
+       {"--max-nodes", "N", &MaxNodes, "check: node cap (0 = none)"},
+       {"--coverage", "", &Coverage, "check: structural coverage report"},
+       {"-o", "DIR", &OutDir, "emit-c: output directory"},
+       {"--name", "BASE", &Base, "emit-c: output file base name"},
+       {"--machine", "NAME", &MachineName, "dot: one machine (default all)"}},
+      &Args};
+  Cmd.parse(argc, argv);
+  if (Args.size() != 2)
+    Cmd.fail("want a command and a file, got " +
+             std::to_string(Args.size()) + " arguments");
+  const std::string &Command = Args[0], &Path = Args[1];
+  if (Command != "check" && Command != "live" && Command != "emit-c" &&
+      Command != "dump" && Command != "dot")
+    Cmd.fail("unknown command '" + Command + "'");
 
   bool Ok = false;
   std::string Source = readFile(Path, Ok);
@@ -193,28 +169,25 @@ int main(int argc, char **argv) {
   if (Diags.hasErrors())
     return 1;
 
-  if (Cmd == "emit-c")
+  if (Command == "emit-c")
     return cmdEmitC(Ast, OutDir, Base);
 
   CompiledProgram Prog = lower(Ast);
-  if (Cmd == "check")
+  if (Command == "check")
     return cmdCheck(Prog, Delay, Depth, MaxNodes, Coverage);
-  if (Cmd == "live")
+  if (Command == "live")
     return cmdLive(Prog, Delay);
-  if (Cmd == "dump")
+  if (Command == "dump")
     return cmdDump(Prog);
-  if (Cmd == "dot") {
-    if (MachineName.empty()) {
-      std::printf("%s", toDot(Prog).c_str());
-      return 0;
-    }
-    int Index = Prog.findMachine(MachineName);
-    if (Index < 0) {
-      std::fprintf(stderr, "unknown machine '%s'\n", MachineName.c_str());
-      return 1;
-    }
-    std::printf("%s", toDot(Prog, Index).c_str());
+  if (MachineName.empty()) {
+    std::printf("%s", toDot(Prog).c_str());
     return 0;
   }
-  return usage();
+  int Index = Prog.findMachine(MachineName);
+  if (Index < 0) {
+    std::fprintf(stderr, "unknown machine '%s'\n", MachineName.c_str());
+    return 1;
+  }
+  std::printf("%s", toDot(Prog, Index).c_str());
+  return 0;
 }

@@ -20,6 +20,7 @@
 #include "frontend/Frontend.h"
 #include "host/Host.h"
 
+#include <cinttypes>
 #include <cstdio>
 
 using namespace p;
@@ -124,7 +125,8 @@ int main() {
 
   for (int I = 0; I != 3; ++I)
     H.addEvent(Server, "Request", Value::machine(Client));
-  std::printf("  served %lld requests, client saw %lld responses\n",
+  std::printf("  served %" PRId64 " requests, client saw %" PRId64
+              " responses\n",
               H.readVar(Server, "Served").asInt(),
               H.readVar(Client, "Got").asInt());
 
@@ -132,7 +134,7 @@ int main() {
   std::printf("  after Shutdown: state %s\n",
               H.currentStateName(Server).c_str());
   H.addEvent(Server, "Request", Value::machine(Client));
-  std::printf("  late request still served: %lld responses total\n",
+  std::printf("  late request still served: %" PRId64 " responses total\n",
               H.readVar(Client, "Got").asInt());
 
   std::printf("\nquickstart ok\n");

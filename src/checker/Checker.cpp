@@ -8,7 +8,6 @@
 
 #include "checker/ParallelSearch.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,55 +39,6 @@ bool p::parseVisitedMode(const char *Name, VisitedMode &Out) {
       return true;
     }
   return false;
-}
-
-bool p::parseVisitedFlag(int Argc, char **Argv, int &I, VisitedMode &Mode,
-                         uint64_t &CapBytes) {
-  const char *Flag = Argv[I];
-  const bool IsMode = !std::strcmp(Flag, "--visited-mode");
-  if (!IsMode && std::strcmp(Flag, "--visited-cap"))
-    return false;
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "%s needs a value\n", Flag);
-    std::exit(2);
-  }
-  const char *Value = Argv[++I];
-  bool Ok;
-  if (IsMode) {
-    Ok = parseVisitedMode(Value, Mode);
-  } else {
-    // strtoull alone accepts "64M" as 64 and "-1" as 2^64-1: demand a
-    // plain decimal byte count that fits.
-    char *End = nullptr;
-    errno = 0;
-    CapBytes = std::strtoull(Value, &End, 10);
-    Ok = *Value >= '0' && *Value <= '9' && *End == '\0' && errno != ERANGE;
-  }
-  if (!Ok) {
-    std::fprintf(stderr, "%s wants %s, got '%s'\n", Flag,
-                 IsMode ? "exact|fingerprint|compact" : "a decimal byte count",
-                 Value);
-    std::exit(2);
-  }
-  return true;
-}
-
-bool p::parseReductionFlag(int Argc, char **Argv, int &I, Reduction &Out) {
-  if (std::strcmp(Argv[I], "--reduction"))
-    return false;
-  if (I + 1 >= Argc) {
-    std::fprintf(stderr, "--reduction needs a value (%s)\n", ReductionChoices);
-    std::exit(2);
-  }
-  const char *Value = Argv[++I];
-  for (Reduction R : {Reduction::Off, Reduction::Symmetry})
-    if (!std::strcmp(Value, reductionName(R))) {
-      Out = R;
-      return true;
-    }
-  std::fprintf(stderr, "--reduction wants %s, got '%s'\n", ReductionChoices,
-               Value);
-  std::exit(2);
 }
 
 uint64_t p::packDecision(const SchedDecision &D) {

@@ -133,22 +133,6 @@ const char *visitedModeName(VisitedMode M);
 /// of exact|fingerprint|compact (\p Out is untouched).
 bool parseVisitedMode(const char *Name, VisitedMode &Out);
 
-/// The one command-line parser of the visited-set flags, shared by the
-/// benches and examples: when argv[I] is `--visited-mode M` or
-/// `--visited-cap BYTES`, stores the value, advances \p I past it and
-/// returns true; returns false for any other argument. A missing value,
-/// an unknown mode, or a cap that is not a plain decimal byte count
-/// (so `64M` is refused, not read as 64) prints the reason to stderr and
-/// exits with status 2.
-bool parseVisitedFlag(int Argc, char **Argv, int &I, VisitedMode &Mode,
-                      uint64_t &CapBytes);
-
-/// The one command-line parser of `--reduction R`, on the same terms as
-/// parseVisitedFlag: stores R and returns true when argv[I] is the flag,
-/// false for any other argument; a missing or unknown value prints
-/// ReductionChoices to stderr and exits with status 2.
-bool parseReductionFlag(int Argc, char **Argv, int &I, Reduction &Out);
-
 /// Options controlling one check() run.
 struct CheckOptions {
   SearchStrategy Strategy = SearchStrategy::DelayBounded;

@@ -8,7 +8,6 @@
 
 #include "corpus/Corpus.h"
 #include "frontend/Frontend.h"
-#include "obs/Report.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,20 +33,4 @@ HostLatencyProbe::HostLatencyProbe(int Cycles) {
     H->addEvent(Id, "SwitchedOff");
     H->addEvent(Id, "LedOk");
   }
-}
-
-bool p::writeReportWithProbe(obs::RunReport &Report,
-                             const std::string &Base) {
-  HostLatencyProbe Probe;
-  Report.setHost(Probe.host());
-  obs::MetricsRegistry Registry;
-  Probe.host().exportMetrics(Registry);
-  Report.setMetrics(Registry);
-  std::string Why;
-  if (!Report.writeTo(Base, &Why)) {
-    std::fprintf(stderr, "cannot write report %s: %s\n", Base.c_str(),
-                 Why.c_str());
-    return false;
-  }
-  return true;
 }

@@ -7,8 +7,8 @@
 /// \file
 /// A self-contained live Host run whose metrics a run report can cite:
 /// the Section 4.1 Switch-and-LED driver (ghost-erased), pumped through
-/// a fixed number of on/ok/off/ok cycles. Every bench that writes a
-/// `--report` uses this probe so the report's host section — dispatch
+/// a fixed number of on/ok/off/ok cycles. A check tool's `--report`
+/// (tool/Tool.h) attaches this probe so the report's host section — dispatch
 /// latency p50/p99, queue high-water, events/sec — comes from a real
 /// pump, not synthetic numbers.
 ///
@@ -23,10 +23,6 @@
 #include <memory>
 
 namespace p {
-
-namespace obs {
-class RunReport;
-} // namespace obs
 
 /// Compiles the erased SwitchLed driver, creates one instance, and
 /// pumps \p Cycles switch cycles through addEvent. The probe owns both
@@ -43,13 +39,6 @@ private:
   CompiledProgram Prog;
   std::unique_ptr<Host> H;
 };
-
-/// The shared `--report` tail of every bench/example: runs a probe,
-/// attaches its host section and a p_host_* metrics dump to \p Report,
-/// and writes `<Base>.{json,html}` (schema-validated before writing).
-/// Prints the reason to stderr and returns false on failure — callers
-/// exit nonzero, so a report that got written is valid by construction.
-bool writeReportWithProbe(obs::RunReport &Report, const std::string &Base);
 
 } // namespace p
 

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A deliberately small JSON library for the observability layer: the
-/// bench `--json` reports, the JSONL/Chrome trace exporters, and the
+/// `--report` run reports, the JSONL/Chrome trace exporters, and the
 /// tests that re-parse both. No external dependency (the container may
 /// not have one); covers the full JSON grammar minus surrogate-pair
 /// \u escapes, which none of our producers emit.

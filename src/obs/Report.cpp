@@ -8,18 +8,45 @@
 
 #include "checker/Checker.h"
 #include "host/Host.h"
-#include "obs/BenchJson.h"
 #include "obs/Metrics.h"
 #include "pir/Program.h"
 #include "runtime/Errors.h"
 #include "support/AtomicFile.h"
 
 #include <cstdio>
-#include <fstream>
 #include <utility>
 
 using namespace p;
 using namespace p::obs;
+
+/// The canonical stats{} object of a check record: every CheckStats
+/// counter under a stable snake_case key.
+static Json checkStatsToJson(const CheckStats &Stats) {
+  Json J = Json::object();
+  J.set("distinct_states", Stats.DistinctStates);
+  J.set("nodes_explored", Stats.NodesExplored);
+  J.set("slices", Stats.Slices);
+  J.set("slices_interpreted", Stats.SlicesInterpreted);
+  J.set("terminals", Stats.Terminals);
+  J.set("errors_found", Stats.ErrorsFound);
+  J.set("max_depth", Stats.MaxDepth);
+  J.set("exhausted", Stats.Exhausted);
+  J.set("visited_bytes", Stats.VisitedBytes);
+  J.set("peak_rss_bytes", Stats.PeakRssBytes);
+  J.set("omission_possible", Stats.OmissionPossible);
+  J.set("workers_used", Stats.WorkersUsed);
+  J.set("steal_count", Stats.StealCount);
+  J.set("contention_ns", Stats.ContentionNs);
+  J.set("faults_injected", Stats.FaultsInjected);
+  J.set("symmetry_collapsed", Stats.SymmetryCollapsed);
+  J.set("interrupted", Stats.Interrupted);
+  J.set("resumed", Stats.Resumed);
+  J.set("checkpoints_written", Stats.CheckpointsWritten);
+  J.set("checkpoint_bytes", Stats.LastCheckpointBytes);
+  J.set("frontier_spilled_nodes", Stats.FrontierSpilledNodes);
+  J.set("frontier_spill_bytes", Stats.FrontierSpillBytes);
+  return J;
+}
 
 Json p::obs::coverageToJson(const CompiledProgram &Prog,
                             const CoverageReport &Cov) {
@@ -135,6 +162,7 @@ Json p::obs::hostToJson(const Host &H) {
 void RunReport::addCheckRun(const CompiledProgram &Prog, Json Config,
                             const CheckResult &R) {
   Json Run = Json::object();
+  Run.set("kind", "check");
   Run.set("config", std::move(Config));
   Run.set("stats", checkStatsToJson(R.Stats));
   Run.set("seconds", R.Stats.Seconds);
@@ -153,6 +181,15 @@ void RunReport::addCheckRun(const CompiledProgram &Prog, Json Config,
   Runs.push(std::move(Run));
 }
 
+void RunReport::addMeasureRun(Json Config, Json Stats, double Seconds) {
+  Json Run = Json::object();
+  Run.set("kind", "measure");
+  Run.set("config", std::move(Config));
+  Run.set("stats", std::move(Stats));
+  Run.set("seconds", Seconds);
+  Runs.push(std::move(Run));
+}
+
 void RunReport::setHost(const Host &H) { HostJson = hostToJson(H); }
 
 void RunReport::setMetrics(const MetricsRegistry &Registry) {
@@ -161,7 +198,7 @@ void RunReport::setMetrics(const MetricsRegistry &Registry) {
 
 Json RunReport::json() const {
   Json J = Json::object();
-  J.set("schema", "p-run-report-v1");
+  J.set("schema", SchemaTag);
   J.set("tool", Tool);
   J.set("runs", Runs);
   if (!HostJson.isNull())
@@ -250,8 +287,18 @@ std::string RunReport::html() const {
 
   const Json &Runs = J.get("runs");
 
-  // Per-run summary table.
-  if (Runs.isArray() && Runs.size() > 0) {
+  auto isKind = [](const Json &R, const char *Kind) {
+    return R.get("kind").asString() == Kind;
+  };
+  auto countKind = [&](const char *Kind) {
+    size_t N = 0;
+    for (size_t I = 0; I != Runs.size(); ++I)
+      N += isKind(Runs.at(I), Kind);
+    return N;
+  };
+
+  // Per-run summary table of the check records.
+  if (countKind("check") > 0) {
     H += "<h2>Check runs</h2>\n<table id=\"runs\">\n"
          "<tr><th>#</th><th>config</th><th class=\"num\">states</th>"
          "<th class=\"num\">nodes</th><th class=\"num\">max depth</th>"
@@ -259,6 +306,8 @@ std::string RunReport::html() const {
          "<th>result</th></tr>\n";
     for (size_t I = 0; I != Runs.size(); ++I) {
       const Json &R = Runs.at(I);
+      if (!isKind(R, "check"))
+        continue;
       const Json &S = R.get("stats");
       H += "<tr><td class=\"num\">" + std::to_string(I) + "</td><td>" +
            htmlEscape(configLine(R.get("config"))) + "</td>";
@@ -279,6 +328,24 @@ std::string RunReport::html() const {
       else
         H += "<td class=\"ok\">clean</td>";
       H += "</tr>\n";
+    }
+    H += "</table>\n";
+  }
+
+  // Measure records: free-form stats, one line each.
+  if (countKind("measure") > 0) {
+    H += "<h2>Measurements</h2>\n<table id=\"measurements\">\n"
+         "<tr><th>#</th><th>config</th><th>stats</th>"
+         "<th class=\"num\">seconds</th></tr>\n";
+    for (size_t I = 0; I != Runs.size(); ++I) {
+      const Json &R = Runs.at(I);
+      if (!isKind(R, "measure"))
+        continue;
+      H += "<tr><td class=\"num\">" + std::to_string(I) + "</td><td>" +
+           htmlEscape(configLine(R.get("config"))) + "</td><td>" +
+           htmlEscape(configLine(R.get("stats"))) +
+           "</td><td class=\"num\">" + fmtNumber(R.get("seconds")) +
+           "</td></tr>\n";
     }
     H += "</table>\n";
   }
@@ -421,14 +488,22 @@ bool RunReport::writeTo(const std::string &Base, std::string *Why) const {
       *Why = "schema violation: " + Reason;
     return false;
   }
-  const std::string Stem = stripReportExt(Base);
-  // Atomic temp+rename emission: a reader (or a crash — reports are
-  // written right when interrupted runs wind down) never observes a
-  // half-written report, only the old file or the new one.
-  if (!writeFileAtomic(Stem + ".json", J.str(2) + "\n", Why))
-    return false;
-  if (!writeFileAtomic(Stem + ".html", html(), Why))
-    return false;
+  if (Base == "-") {
+    if (std::fputs((J.str(2) + "\n").c_str(), stdout) < 0 ||
+        std::fflush(stdout) != 0) {
+      if (Why)
+        *Why = "cannot write to stdout";
+      return false;
+    }
+  } else {
+    const std::string Stem = stripReportExt(Base);
+    // Atomic temp+rename emission: a reader (or a crash — reports are
+    // written right when interrupted runs wind down) never observes a
+    // half-written report, only the old file or the new one.
+    if (!writeFileAtomic(Stem + ".json", J.str(2) + "\n", Why) ||
+        !writeFileAtomic(Stem + ".html", html(), Why))
+      return false;
+  }
   if (Why)
     Why->clear();
   return true;
@@ -481,8 +556,8 @@ bool p::obs::validateRunReport(const Json &Report, std::string &Why) {
     return false;
   }
   if (!Report.get("schema").isString() ||
-      Report.get("schema").asString() != "p-run-report-v1") {
-    Why = "missing schema tag 'p-run-report-v1'";
+      Report.get("schema").asString() != SchemaTag) {
+    Why = std::string("missing schema tag '") + SchemaTag + "'";
     return false;
   }
   if (!Report.get("tool").isString() ||
@@ -499,9 +574,11 @@ bool p::obs::validateRunReport(const Json &Report, std::string &Why) {
     Why = "empty runs array without a host section";
     return false;
   }
-  static const char *StatKeys[] = {
-      "distinct_states", "nodes_explored",     "slices_interpreted",
-      "max_depth",       "workers_used",       "visited_bytes",
+  // The checker counters every perf trajectory reads off a check record.
+  static const char *CheckKeys[] = {
+      "distinct_states", "nodes_explored", "slices_interpreted",
+      "max_depth",       "workers_used",   "steal_count",
+      "contention_ns",   "visited_bytes",  "peak_rss_bytes",
       "symmetry_collapsed"};
   for (size_t I = 0; I != Runs.size(); ++I) {
     const Json &R = Runs.at(I);
@@ -510,16 +587,23 @@ bool p::obs::validateRunReport(const Json &Report, std::string &Why) {
       Why = At + "missing object 'config'";
       return false;
     }
+    const Json &Kind = R.get("kind");
+    const bool IsCheck = Kind.isString() && Kind.asString() == "check";
+    if (!IsCheck && !(Kind.isString() && Kind.asString() == "measure")) {
+      Why = At + "'kind' is neither \"check\" nor \"measure\"";
+      return false;
+    }
     const Json &S = R.get("stats");
     if (!S.isObject()) {
       Why = At + "missing object 'stats'";
       return false;
     }
-    for (const char *Key : StatKeys)
-      if (!S.get(Key).isNumber()) {
-        Why = At + "stats missing numeric '" + Key + "'";
-        return false;
-      }
+    if (IsCheck)
+      for (const char *Key : CheckKeys)
+        if (!S.get(Key).isNumber()) {
+          Why = At + "stats missing numeric '" + Key + "'";
+          return false;
+        }
     if (!R.get("seconds").isNumber() || R.get("seconds").asNumber() < 0) {
       Why = At + "missing non-negative number 'seconds'";
       return false;

@@ -26,6 +26,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace p;
@@ -408,10 +409,11 @@ TEST(RunReportTest, JsonValidatesAndHtmlNamesCoverage) {
   obs::Json Doc = Rep.json();
   std::string Why;
   EXPECT_TRUE(obs::validateRunReport(Doc, Why)) << Why;
-  EXPECT_EQ(Doc.get("schema").asString(), "p-run-report-v1");
+  EXPECT_EQ(Doc.get("schema").asString(), "p-run-report-v2");
   EXPECT_EQ(Doc.get("tool").asString(), "obs_report_test");
   ASSERT_EQ(Doc.get("runs").size(), 1u);
   const obs::Json &Run = Doc.get("runs").at(0);
+  EXPECT_EQ(Run.get("kind").asString(), "check");
   EXPECT_EQ(Run.get("stats").get("slices_interpreted").asNumber(),
             static_cast<double>(R.Stats.SlicesInterpreted));
   EXPECT_TRUE(Run.get("profile").isObject());
@@ -457,8 +459,93 @@ TEST(RunReportTest, WriteToRoundTripsThroughDisk) {
   std::remove((Stem + ".html").c_str());
 }
 
+TEST(RunReportTest, CheckAndMeasureRecordsValidate) {
+  CompiledProgram Prog = compile(corpus::elevator());
+  CheckOptions Opts;
+  Opts.DelayBound = 1;
+  Opts.StopOnFirstError = false;
+  CheckResult R = check(Prog, Opts);
+
+  obs::RunReport Rep("unit");
+  obs::Json Config = obs::Json::object();
+  Config.set("program", "elevator");
+  Config.set("delay_bound", 1);
+  Rep.addCheckRun(Prog, std::move(Config), R);
+  obs::Json Driver = obs::Json::object();
+  Driver.set("driver", "p_interpreter");
+  obs::Json Free = obs::Json::object();
+  Free.set("ns_per_event", 123.0);
+  Rep.addMeasureRun(std::move(Driver), std::move(Free), 0.5);
+
+  obs::Json Parsed;
+  std::string Why;
+  ASSERT_TRUE(obs::Json::parse(Rep.json().str(2), Parsed, &Why)) << Why;
+  EXPECT_TRUE(obs::validateRunReport(Parsed, Why)) << Why;
+  const obs::Json &Check = Parsed.get("runs").at(0);
+  EXPECT_EQ(Check.get("kind").asString(), "check");
+  const obs::Json &Stats = Check.get("stats");
+  EXPECT_EQ(static_cast<uint64_t>(Stats.get("distinct_states").asNumber()),
+            R.Stats.DistinctStates);
+  EXPECT_EQ(static_cast<uint64_t>(Stats.get("nodes_explored").asNumber()),
+            R.Stats.NodesExplored);
+  const obs::Json &Measure = Parsed.get("runs").at(1);
+  EXPECT_EQ(Measure.get("kind").asString(), "measure");
+  EXPECT_EQ(Measure.get("stats").get("ns_per_event").asNumber(), 123.0);
+
+  std::string Html = Rep.html();
+  EXPECT_NE(Html.find("id=\"runs\""), std::string::npos);
+  EXPECT_NE(Html.find("id=\"measurements\""), std::string::npos);
+  EXPECT_NE(Html.find("p_interpreter"), std::string::npos);
+}
+
+TEST(RunReportTest, DashWritesTheJsonToStdout) {
+  HostLatencyProbe Probe(10);
+  obs::RunReport Rep("dash");
+  Rep.addMeasureRun(obs::Json::object(), obs::Json::object(), 0.0);
+  Rep.setHost(Probe.host());
+  ::testing::internal::CaptureStdout();
+  std::string Why;
+  const bool Ok = Rep.writeTo("-", &Why);
+  const std::string Out = ::testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(Ok) << Why;
+  obs::Json Parsed;
+  ASSERT_TRUE(obs::Json::parse(Out, Parsed, &Why)) << Why;
+  EXPECT_TRUE(obs::validateRunReport(Parsed, Why)) << Why;
+
+  // An invalid document is refused, not written.
+  obs::RunReport Empty("empty");
+  ::testing::internal::CaptureStdout();
+  EXPECT_FALSE(Empty.writeTo("-", &Why));
+  EXPECT_EQ(::testing::internal::GetCapturedStdout(), "");
+  EXPECT_NE(Why.find("schema violation"), std::string::npos) << Why;
+}
+
+/// \p Doc with run \p I's record replaced by \p Edit's result.
+obs::Json withRun(const obs::Json &Doc, size_t I,
+                  const std::function<obs::Json(obs::Json)> &Edit) {
+  obs::Json Runs = obs::Json::array();
+  for (size_t K = 0; K != Doc.get("runs").size(); ++K)
+    Runs.push(K == I ? Edit(Doc.get("runs").at(K)) : Doc.get("runs").at(K));
+  obs::Json Out = Doc;
+  Out.set("runs", std::move(Runs));
+  return Out;
+}
+
+/// \p Obj without member \p Key.
+obs::Json without(const obs::Json &Obj, const std::string &Key) {
+  obs::Json Out = obs::Json::object();
+  for (const auto &[K, V] : Obj.members())
+    if (K != Key)
+      Out.set(K, V);
+  return Out;
+}
+
 TEST(RunReportTest, ValidatorRejectsMalformedDocuments) {
   std::string Why;
+
+  // Not an object at all (an array was the retired bench schema).
+  EXPECT_FALSE(obs::validateRunReport(obs::Json::array(), Why));
+  EXPECT_FALSE(Why.empty());
 
   // Empty runs without a host section: nothing to report on.
   obs::RunReport Empty("empty");
@@ -471,41 +558,51 @@ TEST(RunReportTest, ValidatorRejectsMalformedDocuments) {
   HostOnly.setHost(Probe.host());
   EXPECT_TRUE(obs::validateRunReport(HostOnly.json(), Why)) << Why;
 
-  // Wrong schema tag.
+  // Wrong schema tag, including the previous version's.
   obs::Json Doc = HostOnly.json();
   Doc.set("schema", "not-a-report");
   EXPECT_FALSE(obs::validateRunReport(Doc, Why));
+  Doc.set("schema", "p-run-report-v1");
+  EXPECT_FALSE(obs::validateRunReport(Doc, Why));
 
-  // A run record missing its stats block.
-  obs::Json Bad = HostOnly.json();
-  obs::Json Runs = obs::Json::array();
-  obs::Json Rec = obs::Json::object();
-  Rec.set("config", obs::Json::object());
-  Rec.set("seconds", 0.0);
-  Runs.push(std::move(Rec));
-  Bad.set("runs", std::move(Runs));
-  EXPECT_FALSE(obs::validateRunReport(Bad, Why));
-
-  // A stats block without the interpreted-slice count.
+  // A check report whose records the cases below break one at a time.
   CompiledProgram Prog = compile(DeadHandlerSrc);
   CheckOptions Opts;
   Opts.DelayBound = 1;
-  obs::RunReport Rep("no_interpreted");
+  obs::RunReport Rep("malformed");
   Rep.addCheckRun(Prog, obs::Json::object(), check(Prog, Opts));
-  obs::Json NoInterp = Rep.json();
-  ASSERT_TRUE(obs::validateRunReport(NoInterp, Why)) << Why;
-  obs::Json Stats = NoInterp.get("runs").at(0).get("stats");
-  obs::Json Trimmed = obs::Json::object();
-  for (const auto &[Key, V] : Stats.members())
-    if (Key != "slices_interpreted")
-      Trimmed.set(Key, V);
-  obs::Json Run = NoInterp.get("runs").at(0);
-  Run.set("stats", std::move(Trimmed));
-  obs::Json OneRun = obs::Json::array();
-  OneRun.push(std::move(Run));
-  NoInterp.set("runs", std::move(OneRun));
-  EXPECT_FALSE(obs::validateRunReport(NoInterp, Why));
-  EXPECT_NE(Why.find("slices_interpreted"), std::string::npos) << Why;
+  Rep.addMeasureRun(obs::Json::object(), obs::Json::object(), 0.0);
+  const obs::Json Good = Rep.json();
+  ASSERT_TRUE(obs::validateRunReport(Good, Why)) << Why;
+
+  // A record missing its stats block, of either kind.
+  for (size_t I : {0u, 1u}) {
+    obs::Json Bad =
+        withRun(Good, I, [](obs::Json R) { return without(R, "stats"); });
+    EXPECT_FALSE(obs::validateRunReport(Bad, Why)) << "run " << I;
+    EXPECT_NE(Why.find("stats"), std::string::npos) << Why;
+  }
+
+  // A record without a kind, or with an unknown one.
+  obs::Json NoKind =
+      withRun(Good, 0, [](obs::Json R) { return without(R, "kind"); });
+  EXPECT_FALSE(obs::validateRunReport(NoKind, Why));
+  obs::Json OddKind = withRun(Good, 1, [](obs::Json R) {
+    R.set("kind", "bench");
+    return R;
+  });
+  EXPECT_FALSE(obs::validateRunReport(OddKind, Why));
+
+  // A check record missing any one of the checker keys.
+  for (const char *Key : {"slices_interpreted", "steal_count", "max_depth",
+                          "peak_rss_bytes", "contention_ns"}) {
+    obs::Json Bad = withRun(Good, 0, [&](obs::Json R) {
+      R.set("stats", without(R.get("stats"), Key));
+      return R;
+    });
+    EXPECT_FALSE(obs::validateRunReport(Bad, Why)) << Key;
+    EXPECT_NE(Why.find(Key), std::string::npos) << Why;
+  }
 }
 
 } // namespace

@@ -15,8 +15,8 @@
 #include "corpus/Corpus.h"
 #include "frontend/Frontend.h"
 #include "host/Host.h"
-#include "obs/BenchJson.h"
 #include "obs/Metrics.h"
+#include "obs/Report.h"
 #include "obs/Trace.h"
 #include "obs/TraceExport.h"
 
@@ -345,49 +345,32 @@ TEST(ProgressTest, HeartbeatFiresAndSnapshotsGrow) {
 // Bench-report schema
 //===----------------------------------------------------------------------===//
 
-TEST(BenchJsonTest, CheckStatsRecordValidates) {
-  CompiledProgram Prog = compile(corpus::elevator());
-  CheckOptions Opts;
-  Opts.DelayBound = 1;
-  Opts.StopOnFirstError = false;
-  CheckResult R = check(Prog, Opts);
-
-  obs::BenchReport Report("unit");
-  obs::Json Config = obs::Json::object();
-  Config.set("program", "elevator");
-  Config.set("delay_bound", 1);
-  Report.addRun(std::move(Config), R.Stats);
-
-  obs::Json Parsed;
-  std::string Err;
-  ASSERT_TRUE(obs::Json::parse(Report.str(), Parsed, &Err)) << Err;
-  std::string Why;
-  EXPECT_TRUE(obs::validateBenchReport(Parsed, Why, true)) << Why;
-
-  const obs::Json &Stats = Parsed.at(0).get("stats");
-  EXPECT_EQ(static_cast<uint64_t>(Stats.get("distinct_states").asNumber()),
-            R.Stats.DistinctStates);
-  EXPECT_EQ(static_cast<uint64_t>(Stats.get("nodes_explored").asNumber()),
-            R.Stats.NodesExplored);
-}
-
+// Benches write run reports, so the one validator must refuse what the
+// retired bench schema refused: a document of the wrong shape, a report
+// with no records, and a record without its stats.
 TEST(BenchJsonTest, ValidatorRejectsMalformedReports) {
   std::string Why;
-  obs::Json NotArray = obs::Json::object();
-  EXPECT_FALSE(obs::validateBenchReport(NotArray, Why));
+  obs::Json BenchArray = obs::Json::array();
+  EXPECT_FALSE(obs::validateRunReport(BenchArray, Why));
   EXPECT_FALSE(Why.empty());
 
-  obs::Json Empty = obs::Json::array();
-  EXPECT_FALSE(obs::validateBenchReport(Empty, Why));
+  obs::RunReport Empty("unit");
+  EXPECT_FALSE(obs::validateRunReport(Empty.json(), Why));
+  EXPECT_FALSE(Why.empty());
 
-  obs::Json MissingStats = obs::Json::array();
+  obs::RunReport Measured("unit");
+  Measured.addMeasureRun(obs::Json::object(), obs::Json::object(), 1.0);
+  obs::Json Doc = Measured.json();
+  ASSERT_TRUE(obs::validateRunReport(Doc, Why)) << Why;
   obs::Json Rec = obs::Json::object();
-  Rec.set("bench", "x");
+  Rec.set("kind", "measure");
   Rec.set("config", obs::Json::object());
   Rec.set("seconds", 1.0);
-  MissingStats.push(std::move(Rec));
-  EXPECT_FALSE(obs::validateBenchReport(MissingStats, Why));
-  EXPECT_NE(Why.find("stats"), std::string::npos);
+  obs::Json Runs = obs::Json::array();
+  Runs.push(std::move(Rec));
+  Doc.set("runs", std::move(Runs));
+  EXPECT_FALSE(obs::validateRunReport(Doc, Why));
+  EXPECT_NE(Why.find("stats"), std::string::npos) << Why;
 }
 
 } // namespace

@@ -1,45 +1,36 @@
-//===- tests/smoke_bench_json.cpp - --json schema smoke test ----------------===//
+//===- tests/smoke_bench_json.cpp - Run-report schema smoke test ------------===//
 //
 // Part of the P-language reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Runs a bench binary (argv[1], wired via $<TARGET_FILE:...> in CMake)
-// with `--quick --json -` and validates that stdout is a schema-valid
-// bench report (obs/BenchJson.h) whose stats carry the checker keys a
-// perf trajectory consumes. This is the consumer the acceptance
-// criterion asks for: the schema cannot drift without failing CI.
-//
-// Host benches (bench_host_throughput) record free-form host stats, not
-// checker stats; pass --free-stats as the first argument to validate
-// the envelope without requiring the checker keys.
+// Runs a bench binary (wired via $<TARGET_FILE:...> in CMake) with its
+// extra arguments plus `--report -` and validates that stdout is a
+// schema-valid run report (obs/Report.h) whose records are all of the
+// expected kind: `check` (the checker stat keys a perf trajectory
+// consumes) or `measure` (free-form stats, plus a host section). The
+// schema cannot drift without failing CI.
 //
 //===----------------------------------------------------------------------===//
 
-#include "obs/BenchJson.h"
+#include "obs/Report.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 int main(int argc, char **argv) {
-  bool RequireCheckerStats = true;
-  int First = 1;
-  if (argc > 1 && !std::strcmp(argv[1], "--free-stats")) {
-    RequireCheckerStats = false;
-    First = 2;
-  }
-  if (argc < First + 1) {
+  if (argc < 3 || (std::string(argv[1]) != "check" &&
+                   std::string(argv[1]) != "measure")) {
     std::fprintf(stderr,
-                 "usage: %s [--free-stats] <bench-binary> [extra args]\n",
+                 "usage: %s check|measure <bench-binary> [extra args]\n",
                  argv[0]);
     return 2;
   }
-  std::string Cmd = argv[First];
-  for (int I = First + 1; I < argc; ++I)
+  const std::string Kind = argv[1];
+  std::string Cmd = argv[2];
+  for (int I = 3; I < argc; ++I)
     Cmd += std::string(" ") + argv[I];
-  Cmd += " --quick --json - 2>/dev/null";
+  Cmd += " --report - 2>/dev/null";
 
   FILE *Pipe = popen(Cmd.c_str(), "r");
   if (!Pipe) {
@@ -58,21 +49,35 @@ int main(int argc, char **argv) {
   }
 
   p::obs::Json Report;
-  std::string Err;
-  if (!p::obs::Json::parse(Output, Report, &Err)) {
+  std::string Why;
+  if (!p::obs::Json::parse(Output, Report, &Why)) {
     std::fprintf(stderr, "FAIL: stdout is not valid JSON: %s\n",
-                 Err.c_str());
+                 Why.c_str());
     std::fprintf(stderr, "--- first 500 bytes ---\n%.500s\n",
                  Output.c_str());
     return 1;
   }
-  std::string Why;
-  if (!p::obs::validateBenchReport(Report, Why, RequireCheckerStats)) {
+  if (!p::obs::validateRunReport(Report, Why)) {
     std::fprintf(stderr, "FAIL: schema violation: %s\n", Why.c_str());
     return 1;
   }
+  const p::obs::Json &Runs = Report.get("runs");
+  if (Runs.size() == 0) {
+    std::fprintf(stderr, "FAIL: no run records\n");
+    return 1;
+  }
+  for (size_t I = 0; I != Runs.size(); ++I)
+    if (Runs.at(I).get("kind").asString() != Kind) {
+      std::fprintf(stderr, "FAIL: run %zu is not a %s record\n", I,
+                   Kind.c_str());
+      return 1;
+    }
+  if (Kind == "measure" && !Report.has("host")) {
+    std::fprintf(stderr, "FAIL: measure report without a host section\n");
+    return 1;
+  }
 
-  std::printf("OK: %zu schema-valid run records from %s\n", Report.size(),
-              argv[First]);
+  std::printf("OK: %zu schema-valid %s records from %s\n", Runs.size(),
+              Kind.c_str(), argv[2]);
   return 0;
 }
