@@ -68,6 +68,9 @@ void record(const char *Slug, int DelayBound, int Budget, uint64_t NodeCap,
 } // namespace
 
 int main(int argc, char **argv) {
+  // Before anything else: a signal that arrives while the flags parse
+  // must already end the run cooperatively.
+  interrupt::installHandlers();
   tool::CommandLine Cmd{"bench_fault_injection", "[flags]",
                         S.flags({"--workers", "--reduction", "--report",
                                  "--checkpoint", "--checkpoint-interval",
@@ -76,7 +79,6 @@ int main(int argc, char **argv) {
       {"--quick", "", &QuickFlag, "small sweep for smoke tests"});
   Cmd.parse(argc, argv);
   Human = S.human();
-  interrupt::installHandlers();
 
   const int DelayBound = QuickFlag ? 1 : 3;
   const uint64_t NodeCap = QuickFlag ? 100000 : 2000000;

@@ -96,6 +96,9 @@ struct BugCase {
 } // namespace
 
 int main(int argc, char **argv) {
+  // Before anything else: a signal that arrives while the flags parse
+  // must already end the run cooperatively.
+  interrupt::installHandlers();
   tool::CommandLine Cmd{"bench_fig7_delaybound", "[flags]",
                         S.flags({"--workers", "--visited-mode",
                                  "--visited-cap", "--reduction", "--report",
@@ -107,7 +110,6 @@ int main(int argc, char **argv) {
       {"--quick", "", &QuickFlag, "small sweep for smoke tests"});
   Cmd.parse(argc, argv);
   Human = S.human();
-  interrupt::installHandlers();
 
   std::fprintf(Human, "=== Figure 7: states explored vs delay bound ===\n");
   std::fprintf(Human,

@@ -51,6 +51,9 @@ void printMachineSizes(const CompiledProgram &Prog) {
 } // namespace
 
 int main(int argc, char **argv) {
+  // Before anything else: a signal that arrives while the flags parse
+  // must already end the run cooperatively.
+  interrupt::installHandlers();
   tool::CommandLine Cmd{"bench_fig8_usb", "[flags]",
                         S.flags({"--workers", "--visited-mode",
                                  "--visited-cap", "--reduction", "--report",
@@ -58,7 +61,6 @@ int main(int argc, char **argv) {
                                  "--checkpoint-interval", "--resume"})};
   Cmd.parse(argc, argv);
   Human = S.human();
-  interrupt::installHandlers();
 
   std::fprintf(Human,
                "=== Figure 8: USB hub machine sizes and exploration cost "

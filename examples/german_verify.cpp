@@ -46,6 +46,9 @@
 using namespace p;
 
 int main(int argc, char **argv) {
+  // Before anything else: a signal that arrives while the flags parse
+  // must already end the run cooperatively.
+  interrupt::installHandlers();
   tool::Session S("german_verify");
   bool Msc = false, Metrics = false;
   std::string TracePath, ChromePath;
@@ -81,8 +84,6 @@ int main(int argc, char **argv) {
         "single run: spill frontier nodes past this many bytes"}});
   Cmd.parse(argc, argv);
   std::FILE *Human = S.human();
-
-  interrupt::installHandlers();
 
   if (Clients > 0) {
     // Single-run mode: one check, one parseable line, a hard verdict.

@@ -64,6 +64,18 @@ SchedDecision p::unpackDecision(uint64_t Word) {
   return D;
 }
 
+void CoverageReport::merge(const CoverageReport &From) {
+  if (Machines.size() < From.Machines.size())
+    Machines.resize(From.Machines.size());
+  for (size_t M = 0; M != From.Machines.size(); ++M) {
+    const MachineCoverage &F = From.Machines[M];
+    Machines[M].StatesVisited.insert(F.StatesVisited.begin(),
+                                     F.StatesVisited.end());
+    Machines[M].TransitionsFired.insert(F.TransitionsFired.begin(),
+                                        F.TransitionsFired.end());
+  }
+}
+
 std::string CoverageReport::str(const CompiledProgram &Prog) const {
   std::string Out;
   for (size_t I = 0; I != Machines.size() && I != Prog.Machines.size();

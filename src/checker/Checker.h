@@ -307,6 +307,8 @@ struct CoverageReport {
   };
   std::vector<MachineCoverage> Machines; ///< Indexed by machine type.
 
+  /// Adds everything \p From covered.
+  void merge(const CoverageReport &From);
   /// Renders a per-machine "states X/Y, transitions A/B" table.
   std::string str(const CompiledProgram &Prog) const;
 };

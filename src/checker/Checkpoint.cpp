@@ -405,7 +405,6 @@ uint64_t ckpt::searchFingerprint(const CompiledProgram &Prog,
   W.u64(Opts.VisitedCapBytes);
   W.u64(Opts.MaxStepsPerSlice);
   W.u8(Opts.CollectTerminals ? 1 : 0);
-  W.u8(Opts.TrackCoverage ? 1 : 0);
   W.i32(Opts.Faults.Budget);
   W.u8(Opts.Faults.Drop ? 1 : 0);
   W.u8(Opts.Faults.Duplicate ? 1 : 0);

@@ -259,8 +259,8 @@ struct CheckpointData {
 /// (strategy, bounds, visited mode and cap, fault spec, queue policy,
 /// reduction, terminal collection). Deliberately excludes Workers —
 /// the determinism contract makes resuming under a different worker
-/// count legal — and pure observers (tracing, metrics, progress,
-/// profiling).
+/// count legal — and pure observers (coverage, tracing, metrics,
+/// progress, profiling).
 uint64_t searchFingerprint(const CompiledProgram &Prog,
                            const CheckOptions &Opts);
 

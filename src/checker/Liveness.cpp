@@ -7,8 +7,8 @@
 #include "checker/Liveness.h"
 
 #include "checker/Replay.h"
-#include "checker/SchedStack.h"
 #include "checker/StateHash.h"
+#include "checker/Successors.h"
 #include "runtime/Executor.h"
 #include "support/Hashing.h"
 
@@ -28,23 +28,25 @@ struct PathNode {
   Config Cfg;
   SchedStack Sched;
   int DelaysUsed = 0;
+  int FaultsUsed = 0; ///< Always 0: the graph has no fault edges.
   int32_t MustRun = -1;
   uint64_t Key = 0;
 
   // Edge into this node:
   int32_t ScheduledMachine = -1; ///< -1 for delay edges and the root.
-  std::set<MachineEvent> Dequeued;
-  std::string Desc;
+  std::set<MachineEvent> Dequeued{};
+  std::string Desc{};
 
   // Iteration state: children not yet explored.
-  std::vector<PathNode> Pending;
+  std::vector<PathNode> Pending{};
   bool Expanded = false;
 };
 
 class LivenessSearch {
 public:
   LivenessSearch(const CompiledProgram &Prog, const LivenessOptions &Opts)
-      : Prog(Prog), Opts(Opts), Exec(Prog, execOptions(Opts)) {
+      : Prog(Prog), Opts(Opts), Exec(Prog, execOptions(Opts)),
+        Succ(Exec, SearchStrategy::DelayBounded, Opts.DelayBound) {
     Exec.addDequeueObserver([this](int32_t Machine, int32_t Event) {
       CurrentDequeues.insert({Machine, Event});
     });
@@ -69,8 +71,7 @@ private:
     return hashCombine(H, static_cast<uint32_t>(N.MustRun));
   }
 
-  /// Generates the children of \p N (after normalization).
-  void expand(PathNode &N);
+  struct Sink;
 
   /// Checks the cycle path[Start..] closed by \p Closing for a fair
   /// starvation; fills the result on violation.
@@ -79,6 +80,7 @@ private:
   const CompiledProgram &Prog;
   const LivenessOptions &Opts;
   Executor Exec;
+  Successors Succ;
   std::set<MachineEvent> CurrentDequeues;
 
   std::vector<PathNode> Path;
@@ -87,60 +89,40 @@ private:
   LivenessResult Result;
 };
 
-void LivenessSearch::expand(PathNode &N) {
-  N.Expanded = true;
+/// The DFS's side of Successors::expand: each child becomes a pending
+/// PathNode of \p Parent that carries its edge. Slices run on the
+/// executor, whose dequeue observer rules out the slice memo.
+struct LivenessSearch::Sink {
+  LivenessSearch &S;
+  PathNode &Parent;
 
-  // Normalize the scheduler stack.
-  while (!N.Sched.empty() && !Exec.isEnabled(N.Cfg, N.Sched.top()))
-    N.Sched.pop();
-  if (N.Sched.empty())
-    return; // Quiescent: no outgoing edges, no cycles through here.
-
-  // Delay child.
-  if (N.MustRun < 0 && N.DelaysUsed < Opts.DelayBound && N.Sched.size() > 1) {
-    PathNode Child;
-    Child.Cfg = N.Cfg;
-    Child.Sched = N.Sched;
-    Child.Sched.rotate();
-    Child.DelaysUsed = N.DelaysUsed + 1;
-    Child.Desc = "delay " + Exec.describeMachine(N.Cfg, N.Sched.top());
-    N.Pending.push_back(std::move(Child));
+  Executor::StepResult run(PathNode &C, int32_t Id) {
+    C.Desc = "run " + S.Exec.describeMachine(C.Cfg, Id);
+    C.ScheduledMachine = Id;
+    S.CurrentDequeues.clear();
+    const Executor::StepResult R = S.Exec.step(C.Cfg, Id);
+    C.Dequeued = S.CurrentDequeues;
+    return R;
   }
-
-  // Run child(ren).
-  int32_t Top = N.MustRun >= 0 ? N.MustRun : N.Sched.top();
-  PathNode Child;
-  Child.Cfg = N.Cfg;
-  Child.Sched = N.Sched;
-  Child.DelaysUsed = N.DelaysUsed;
-  Child.Desc = "run " + Exec.describeMachine(N.Cfg, Top);
-  Child.ScheduledMachine = Top;
-
-  CurrentDequeues.clear();
-  Executor::StepResult R = Exec.step(Child.Cfg, Top);
-  Child.Dequeued = CurrentDequeues;
-
-  // Safety errors are the Checker's job; a liveness search just does
-  // not continue past them.
-  if (R.Outcome == Executor::StepOutcome::Error)
-    return;
-  Child.Sched.afterSlice(Top, R);
-  if (R.Outcome == Executor::StepOutcome::ChoicePoint) {
-    // The chooser resumes with its `*` resolved each way.
-    Child.MustRun = Top;
-    SchedDecision Choose;
-    Choose.K = SchedDecision::Kind::Choose;
-    PathNode TrueChild = Child;
-    Choose.Choice = true;
-    applyDecision(Exec, TrueChild.Cfg, Choose, Top);
-    TrueChild.Desc += " (choose true)";
-    N.Pending.push_back(std::move(TrueChild));
-    Choose.Choice = false;
-    applyDecision(Exec, Child.Cfg, Choose, Top);
-    Child.Desc += " (choose false)";
+  void choose(Config &Cfg, int32_t Id, bool Choice) {
+    applyDecision(S.Exec, Cfg, {SchedDecision::Kind::Choose, -1, Choice}, Id);
   }
-  N.Pending.push_back(std::move(Child));
-}
+  void child(PathNode &&C, const SchedDecision &D) {
+    if (D.K == SchedDecision::Kind::Delay)
+      C.Desc = "delay " + S.Exec.describeMachine(C.Cfg, D.Machine);
+    Parent.Pending.push_back(std::move(C));
+  }
+  void choice(PathNode &&True, PathNode &&False) {
+    True.Desc += " (choose true)";
+    False.Desc += " (choose false)";
+    Parent.Pending.push_back(std::move(True));
+    Parent.Pending.push_back(std::move(False));
+  }
+  /// Safety errors are the Checker's job; a liveness search just does
+  /// not continue past them.
+  void error(PathNode &&) {}
+  bool stopped() const { return false; }
+};
 
 bool LivenessSearch::analyzeCycle(size_t Start, const PathNode &Closing) {
   ++Result.CyclesChecked;
@@ -239,8 +221,18 @@ LivenessResult LivenessSearch::run() {
       break;
     }
     PathNode &Top = Path.back();
-    if (!Top.Expanded)
-      expand(Top);
+    // A quiescent node has no outgoing edges, so no cycle runs through
+    // it. The children grow from a copy of the node's search state; the
+    // node keeps its own edge and its place on the path.
+    if (!Top.Expanded && normalize(Exec, Top.Cfg, Top.Sched)) {
+      Sink Out{*this, Top};
+      Succ.expand(PathNode{.Cfg = Top.Cfg,
+                           .Sched = Top.Sched,
+                           .DelaysUsed = Top.DelaysUsed,
+                           .MustRun = Top.MustRun},
+                  Out);
+    }
+    Top.Expanded = true;
 
     if (Top.Pending.empty()) {
       auto It = Done.find(Top.Key);

@@ -17,7 +17,9 @@
 ///
 /// The paper leaves verifying these properties to future work; this
 /// module implements it as lasso detection over the delay-bounded
-/// schedule graph: a DFS that, on finding a cycle, checks
+/// schedule graph. The graph is the safety search's: the DFS takes a
+/// node's children from checker/Successors.h, with no fault edges. On
+/// finding a cycle it checks
 ///   * fairness — every machine enabled at every state of the cycle is
 ///     scheduled at least once in it (weak fairness), and
 ///   * starvation — some queue entry is present throughout the cycle,

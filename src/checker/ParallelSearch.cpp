@@ -12,6 +12,7 @@
 #include "checker/Replay.h"
 #include "checker/SchedStack.h"
 #include "checker/SliceMemo.h"
+#include "checker/Successors.h"
 #include "checker/StateHash.h"
 #include "checker/VisitedTable.h"
 #include "obs/Metrics.h"
@@ -40,7 +41,6 @@
 #endif
 #if defined(__linux__)
 #include <cinttypes>
-#include <cstdio>
 #endif
 
 using namespace p;
@@ -115,49 +115,6 @@ struct Node {
 };
 
 //===----------------------------------------------------------------------===//
-// Schedule ordering
-//===----------------------------------------------------------------------===//
-
-/// Orders sibling decisions the way the serial DFS explores them: run
-/// the top (machines ascending in depth-bounded mode) before spending a
-/// delay, and choose false before choose true. Lexicographic order over
-/// schedules under this ordering is exactly the serial visit order, so
-/// "keep the lex-least counterexample" reproduces the serial report.
-int compareDecision(const SchedDecision &A, const SchedDecision &B) {
-  if (A.K != B.K)
-    return static_cast<int>(A.K) < static_cast<int>(B.K) ? -1 : 1;
-  switch (A.K) {
-  case SchedDecision::Kind::Run:
-    return A.Machine < B.Machine ? -1 : A.Machine > B.Machine ? 1 : 0;
-  case SchedDecision::Kind::Delay:
-    return 0; // The delayed machine is determined by the node.
-  case SchedDecision::Kind::Choose:
-    return A.Choice == B.Choice ? 0 : (A.Choice ? 1 : -1);
-  case SchedDecision::Kind::DropEvent:
-  case SchedDecision::Kind::DupEvent:
-    // Queue faults order by (machine, queue index), matching the
-    // ascending pop order of the fault children.
-    if (A.Machine != B.Machine)
-      return A.Machine < B.Machine ? -1 : 1;
-    return A.Aux < B.Aux ? -1 : A.Aux > B.Aux ? 1 : 0;
-  case SchedDecision::Kind::Crash:
-    return A.Machine < B.Machine ? -1 : A.Machine > B.Machine ? 1 : 0;
-  case SchedDecision::Kind::ForeignFault:
-    return A.Choice == B.Choice ? 0 : (A.Choice ? 1 : -1);
-  }
-  return 0;
-}
-
-int compareSchedule(const std::vector<SchedDecision> &A,
-                    const std::vector<SchedDecision> &B) {
-  size_t N = std::min(A.size(), B.size());
-  for (size_t I = 0; I != N; ++I)
-    if (int C = compareDecision(A[I], B[I]))
-      return C;
-  return A.size() < B.size() ? -1 : A.size() > B.size() ? 1 : 0;
-}
-
-//===----------------------------------------------------------------------===//
 // Shared tables
 //===----------------------------------------------------------------------===//
 
@@ -219,10 +176,13 @@ class ParallelSearch;
 /// Per-worker state. The frontier deque is LIFO for its owner (DFS) and
 /// FIFO for thieves, who take the shallowest nodes from the front.
 struct Worker {
-  Worker(unsigned Id, const Executor &Base) : Id(Id), Exec(Base) {}
+  Worker(unsigned Id, const Executor &Base, const CheckOptions &Opts)
+      : Id(Id), Exec(Base),
+        Succ(Exec, Opts.Strategy, Opts.DelayBound, &Opts.Faults) {}
 
   unsigned Id;
   Executor Exec; ///< Own copy: observer callbacks stay thread-local.
+  Successors Succ; ///< A node's children, through Exec.
   std::unique_ptr<SliceMemo> Memo; ///< Runs every slice of this worker.
 
   std::mutex FrontierMu;
@@ -580,7 +540,10 @@ private:
     N.ChoiceIdentity = K.Identity;
   }
 
-  void recordError(Worker &W, const Node &N) {
+  /// Records \p N's error, kept as the counterexample while its
+  /// schedule is the lex-least, and stops the search on it when
+  /// StopOnFirstError.
+  void failed(Worker &W, const Node &N) {
     ErrorsFound.fetch_add(1, std::memory_order_relaxed);
     ErrorRecord R;
     R.Found = true;
@@ -590,9 +553,13 @@ private:
         Opts.Strategy == SearchStrategy::DelayBounded ? N.DelaysUsed : -1;
     R.FaultsUsed = Opts.Faults.enabled() ? N.FaultsUsed : -1;
     R.Schedule = materializeSchedule(N);
-    auto L = lockTimed(BestMu, &W.ContentionNs);
-    if (!Best.Found || compareSchedule(R.Schedule, Best.Schedule) < 0)
-      Best = std::move(R);
+    {
+      auto L = lockTimed(BestMu, &W.ContentionNs);
+      if (!Best.Found || compareSchedule(R.Schedule, Best.Schedule) < 0)
+        Best = std::move(R);
+    }
+    if (Opts.StopOnFirstError)
+      Stop.store(true, std::memory_order_relaxed);
   }
 
   /// Incremental config hash (cached per-machine fingerprints), with
@@ -651,12 +618,7 @@ private:
 
   NodeKeys canonicalNodeKeys(Worker &W, const Node &N);
 
-  Node faultChild(Worker &W, const Node &N, const SchedDecision &D,
-                  int32_t ByType);
-  void pushFaultChildren(Worker &W, const Node &N);
-  void expandRun(Worker &W, Node &&N, int32_t Id);
-  void expandDelayBounded(Worker &W, Node &&N);
-  void expandDepthBounded(Worker &W, Node &&N);
+  struct Sink;
   void process(Worker &W, Node &&N);
   void workerLoop(Worker &W);
 
@@ -966,162 +928,83 @@ ParallelSearch::NodeKeys ParallelSearch::canonicalNodeKeys(Worker &W,
   return Out;
 }
 
-/// A child of \p N that spends one fault on \p D: a copy with \p D
-/// applied and pending. A profile charges it to \p ByType, the type of
-/// the machine the fault acts on.
-Node ParallelSearch::faultChild(Worker &W, const Node &N,
-                                const SchedDecision &D, int32_t ByType) {
-  Node C = N; // copy: O(#machines) snapshot pointer bumps
-  C.FaultsUsed += 1;
-  applyDecision(W.Exec, C.Cfg, D, -1);
-  C.Pending = packDecision(D);
-  W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
-  if (ProfileOn) {
-    C.ByType = ByType;
-    // FaultKinds is indexed DropEvent, DupEvent, Crash, ForeignFault.
-    W.Prof.FaultKinds[static_cast<int>(D.K) -
-                      static_cast<int>(SchedDecision::Kind::DropEvent)] += 1;
-  }
-  return C;
-}
+/// The search's side of Successors::expand: slices run through W's
+/// memo, and each child, pending the decision that made it, is pushed.
+struct ParallelSearch::Sink {
+  ParallelSearch &S;
+  Worker &W;
 
-/// Pushes the fault children of a scheduling point: one per droppable
-/// queue entry, duplicable queue entry, and crashable live machine.
-/// Each costs 1 against FaultSpec::Budget. Children are pushed in
-/// reverse of the exploration (and lex) order — crashes, duplicates,
-/// drops, each descending by (machine, queue index) — so the DFS pops
-/// drops ascending first and crashes ascending last; the caller pushes
-/// the Delay child and runs the zero-cost Run branch after.
-void ParallelSearch::pushFaultChildren(Worker &W, const Node &N) {
-  const FaultSpec &F = Opts.Faults;
-  if (!F.enabled() || N.MustRun >= 0 || N.FaultsUsed >= F.Budget)
-    return;
-  const int32_t NumM = static_cast<int32_t>(N.Cfg.Machines.size());
-
-  if (F.Crash) {
-    for (int32_t Id = NumM; Id-- > 0;) {
-      const MachineState &M = *N.Cfg.Machines[Id];
-      if (!M.Alive || !F.crashTypeAllowed(M.MachineIndex))
-        continue;
-      SchedDecision D;
-      D.K = SchedDecision::Kind::Crash;
-      D.Machine = Id;
-      Node C = faultChild(W, N, D, M.MachineIndex);
-      C.Sched.remove(Id);
-      pushNode(W, std::move(C));
+  Executor::StepResult run(Node &N, int32_t Id) {
+    if (W.Trace)
+      W.Trace->record(obs::TraceKind::Slice, Id);
+    std::chrono::steady_clock::time_point T0;
+    if (S.ProfileOn)
+      T0 = std::chrono::steady_clock::now();
+    bool Interpreted = true;
+    const Executor::StepResult R = W.Memo->run(N.Cfg, Id, Interpreted);
+    if (Interpreted)
+      W.SlicesInterpreted.fetch_add(1, std::memory_order_relaxed);
+    if (S.ProfileOn) {
+      const uint64_t Ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - T0)
+              .count();
+      // Every child of this slice — and the node keyed from its result —
+      // is this type's doing.
+      N.ByType = N.Cfg.Machines[Id]->MachineIndex;
+      obs::MachineProfile &Row = W.Prof.Machines[W.Prof.rowOf(N.ByType)];
+      Row.Slices += 1;
+      Row.SlicesInterpreted += Interpreted;
+      Row.SliceNs += Ns;
+      W.Prof.SliceSeconds.observe(static_cast<double>(Ns) * 1e-9);
     }
+    W.Slices.fetch_add(1, std::memory_order_relaxed);
+    N.Depth += 1;
+    N.Choice = Branch::None;
+    // Single-writer max: only this worker stores, heartbeat only reads.
+    if (N.Depth > W.MaxDepth.load(std::memory_order_relaxed))
+      W.MaxDepth.store(N.Depth, std::memory_order_relaxed);
+    N.Pending = packDecision({SchedDecision::Kind::Run, Id});
+    // Both branches of a `*` or a foreign call share the Run decision.
+    if (R.Outcome == Executor::StepOutcome::ChoicePoint ||
+        R.Outcome == Executor::StepOutcome::ForeignCall)
+      commitTrace(N);
+    return R;
   }
-
-  for (int Pass = 0; Pass != 2; ++Pass) {
-    const bool Dup = Pass == 0; // Duplicates push first, pop after drops.
-    if (Dup ? !F.Duplicate : !F.Drop)
-      continue;
-    for (int32_t Id = NumM; Id-- > 0;) {
-      const MachineState &M = *N.Cfg.Machines[Id];
-      if (!M.Alive)
-        continue;
-      for (int32_t Q = static_cast<int32_t>(M.Queue.size()); Q-- > 0;) {
-        if (!F.eventAllowed(M.Queue[Q].first))
-          continue;
-        SchedDecision D;
-        D.K = Dup ? SchedDecision::Kind::DupEvent
-                  : SchedDecision::Kind::DropEvent;
-        D.Machine = Id;
-        D.Aux = Q;
-        pushNode(W, faultChild(W, N, D, M.MachineIndex));
+  void choose(Config &Cfg, int32_t Id, bool Choice) {
+    W.Memo->choose(Cfg, Id, Choice);
+  }
+  void child(Node &&C, const SchedDecision &D) {
+    C.Pending = packDecision(D);
+    if (spendsFault(D)) {
+      W.FaultsInjected.fetch_add(1, std::memory_order_relaxed);
+      if (S.ProfileOn) {
+        // A fault is charged to the type of the machine it acts on.
+        C.ByType = C.Cfg.Machines[D.Machine]->MachineIndex;
+        // FaultKinds is indexed DropEvent, DupEvent, Crash, ForeignFault.
+        W.Prof.FaultKinds[static_cast<int>(D.K) -
+                          static_cast<int>(SchedDecision::Kind::DropEvent)] +=
+            1;
       }
     }
+    S.pushNode(W, std::move(C));
   }
-}
-
-void ParallelSearch::expandRun(Worker &W, Node &&N, int32_t Id) {
-  if (W.Trace)
-    W.Trace->record(obs::TraceKind::Slice, Id);
-  int32_t SliceType = -1;
-  std::chrono::steady_clock::time_point SliceT0;
-  if (ProfileOn) {
-    SliceType = N.Cfg.Machines[Id]->MachineIndex;
-    SliceT0 = std::chrono::steady_clock::now();
+  /// Both branches carry the false branch's keys, taken once here.
+  void choice(Node &&True, Node &&False) {
+    True.Pending = packDecision({SchedDecision::Kind::Choose, -1, true});
+    False.Pending = packDecision({SchedDecision::Kind::Choose, -1, false});
+    const NodeKeys K = S.nodeKeys(W, False);
+    setChoice(False, Branch::False, K);
+    setChoice(True, Branch::True, K);
+    S.pushNode(W, std::move(True));
+    S.pushNode(W, std::move(False));
   }
-  bool Interpreted = true;
-  Executor::StepResult R = W.Memo->run(N.Cfg, Id, Interpreted);
-  if (Interpreted)
-    W.SlicesInterpreted.fetch_add(1, std::memory_order_relaxed);
-  if (ProfileOn) {
-    const uint64_t Ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - SliceT0)
-            .count();
-    obs::MachineProfile &Row = W.Prof.Machines[W.Prof.rowOf(SliceType)];
-    Row.Slices += 1;
-    Row.SlicesInterpreted += Interpreted;
-    Row.SliceNs += Ns;
-    W.Prof.SliceSeconds.observe(static_cast<double>(Ns) * 1e-9);
-    // Every child of this slice — and the node keyed from its result —
-    // is this type's doing.
-    N.ByType = SliceType;
+  void error(Node &&N) {
+    S.noteConfig(W, S.configHash(N.Cfg), N.Cfg, N.ByType);
+    S.failed(W, N);
   }
-  W.Slices.fetch_add(1, std::memory_order_relaxed);
-  N.Depth += 1;
-  N.MustRun = -1;
-  N.Choice = Branch::None;
-  // Single-writer max: only this worker stores, heartbeat only reads.
-  if (N.Depth > W.MaxDepth.load(std::memory_order_relaxed))
-    W.MaxDepth.store(N.Depth, std::memory_order_relaxed);
-
-  SchedDecision RunDecision;
-  RunDecision.K = SchedDecision::Kind::Run;
-  RunDecision.Machine = Id;
-  N.Pending = packDecision(RunDecision);
-
-  if (R.Outcome == Executor::StepOutcome::Error) {
-    noteConfig(W, configHash(N.Cfg), N.Cfg, N.ByType);
-    recordError(W, N);
-    if (Opts.StopOnFirstError)
-      Stop.store(true, std::memory_order_relaxed);
-    return;
-  }
-  if (Opts.Strategy == SearchStrategy::DelayBounded)
-    N.Sched.afterSlice(Id, R);
-  if (R.Outcome == Executor::StepOutcome::ChoicePoint) {
-    // Branch on the `*`: two children, the same machine resumes. Both
-    // keep the Run → Choose decision chain and carry the false branch's
-    // keys, taken once here (the chooser tops S: nothing to normalize).
-    commitTrace(N);
-    N.MustRun = Id;
-    assert(Opts.Strategy != SearchStrategy::DelayBounded ||
-           (!N.Sched.empty() && N.Sched.top() == Id));
-    SchedDecision ChooseTrue, ChooseFalse;
-    ChooseTrue.K = ChooseFalse.K = SchedDecision::Kind::Choose;
-    ChooseTrue.Choice = true;
-    Node TrueChild = N; // copy: O(#machines) snapshot pointer bumps
-    W.Memo->choose(TrueChild.Cfg, Id, true);
-    TrueChild.Pending = packDecision(ChooseTrue);
-    W.Memo->choose(N.Cfg, Id, false);
-    N.Pending = packDecision(ChooseFalse);
-    const NodeKeys K = nodeKeys(W, N);
-    setChoice(N, Branch::False, K);
-    setChoice(TrueChild, Branch::True, K);
-    pushNode(W, std::move(TrueChild));
-  } else if (R.Outcome == Executor::StepOutcome::ForeignCall) {
-    // Stopped at a foreign call (fault points on): branch on whether
-    // the environment fails it, like a `*` choice, except the failing
-    // branch costs one fault. The same machine resumes either way.
-    commitTrace(N);
-    N.MustRun = Id;
-    SchedDecision D;
-    D.K = SchedDecision::Kind::ForeignFault;
-    D.Machine = Id;
-    if (Opts.Faults.FailForeign && N.FaultsUsed < Opts.Faults.Budget) {
-      D.Choice = true;
-      pushNode(W, faultChild(W, N, D, N.ByType));
-    }
-    D.Choice = false;
-    applyDecision(W.Exec, N.Cfg, D, Id);
-    N.Pending = packDecision(D);
-  }
-  pushNode(W, std::move(N));
-}
+  bool stopped() const { return S.Stop.load(std::memory_order_relaxed); }
+};
 
 /// Keys \p N after its stack is normalized (see NodeKeys): its
 /// configuration plus keySuffix. Exact mode serializes the whole node
@@ -1150,104 +1033,38 @@ ParallelSearch::NodeKeys ParallelSearch::nodeKeys(Worker &W, const Node &N) {
   return K;
 }
 
-void ParallelSearch::expandDelayBounded(Worker &W, Node &&N) {
-  // Normalize: drop disabled machines from the top of S.
-  while (!N.Sched.empty() && !W.Exec.isEnabled(N.Cfg, N.Sched.top()))
-    N.Sched.pop();
-
-  if (N.Sched.empty()) {
-    // Re-arm any enabled machine missed by the causal discipline
-    // (cannot normally happen; defensive completeness).
-    for (int32_t Id = 0; Id < static_cast<int32_t>(N.Cfg.Machines.size());
-         ++Id)
-      if (W.Exec.isEnabled(N.Cfg, Id)) {
-        N.Sched.push(Id);
-        break;
-      }
-  }
-  // A branch of a `*` is keyed already, and never quiescent.
-  const bool IsBranch = N.Choice != Branch::None;
-  const NodeKeys K = IsBranch ? NodeKeys() : nodeKeys(W, N);
-  if (!IsBranch && N.Sched.empty()) { // Every machine awaits events.
-    noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
-    noteTerminal(W, K.CfgHash);
-    return;
-  }
-  if (IsBranch ? !admitBranch(W, N, N.DelaysUsed)
-               : !admit(W, N, K, N.DelaysUsed))
-    return;
-
-  pushFaultChildren(W, N);
-
-  const int32_t Top = N.MustRun >= 0 ? N.MustRun : N.Sched.top();
-  const bool CanDelay =
-      N.MustRun < 0 && N.DelaysUsed < Opts.DelayBound && N.Sched.size() > 1;
-
-  // Children are pushed so the zero-cost "run the top" branch is
-  // explored first (DFS pops last-pushed first): push the Delay child
-  // (rotate the top to the bottom for one unit of budget) first.
-  if (CanDelay) {
-    Node Delayed = N; // copy
-    SchedDecision DelayDecision;
-    DelayDecision.K = SchedDecision::Kind::Delay;
-    DelayDecision.Machine = Delayed.Sched.top();
-    Delayed.Sched.rotate();
-    Delayed.DelaysUsed += 1;
-    applyDecision(W.Exec, Delayed.Cfg, DelayDecision, -1);
-    Delayed.Pending = packDecision(DelayDecision);
-    pushNode(W, std::move(Delayed));
-  }
-  expandRun(W, std::move(N), Top);
-}
-
-void ParallelSearch::expandDepthBounded(Worker &W, Node &&N) {
-  // The dominance value is the depth, not the delays: a key first
-  // reached near the cut had its subtree cut short, so a later,
-  // shallower visit — more slices left before the cut — explores it
-  // again. The explored set is then every configuration reachable
-  // within DepthBound slices, whatever order the workers reach it in.
-  const bool IsBranch = N.Choice != Branch::None;
-  const NodeKeys K = IsBranch ? NodeKeys() : nodeKeys(W, N);
-  if (IsBranch ? !admitBranch(W, N, N.Depth) : !admit(W, N, K, N.Depth))
-    return;
-
-  if (N.MustRun >= 0) {
-    int32_t Id = N.MustRun;
-    expandRun(W, std::move(N), Id);
-    return;
-  }
-
-  pushFaultChildren(W, N);
-
-  bool Any = false;
-  for (int32_t Id = static_cast<int32_t>(N.Cfg.Machines.size()); Id-- > 0;) {
-    if (!W.Exec.isEnabled(N.Cfg, Id))
-      continue;
-    Any = true;
-    Node Child = N; // copy per enabled machine
-    expandRun(W, std::move(Child), Id);
-    if (Stop.load(std::memory_order_relaxed))
-      return;
-  }
-  if (!Any)
-    noteTerminal(W, K.CfgHash);
-}
-
 void ParallelSearch::process(Worker &W, Node &&N) {
   if (DepthHist)
     DepthHist->observe(N.Depth);
   if (N.Cfg.hasError()) {
     // Error configs produced directly (e.g. by enqueue) get recorded
-    // here; expandRun already records errors from slices.
-    recordError(W, N);
-    if (Opts.StopOnFirstError)
-      Stop.store(true, std::memory_order_relaxed);
+    // here; Sink::error records errors from slices.
+    failed(W, N);
     return;
   }
-  if (Opts.Strategy == SearchStrategy::DelayBounded)
-    expandDelayBounded(W, std::move(N));
-  else
-    expandDepthBounded(W, std::move(N));
+  // A delay-bounded node is keyed on its normalized S. A branch of a
+  // `*` is keyed already, and never quiescent.
+  const bool DelayBounded = Opts.Strategy == SearchStrategy::DelayBounded;
+  const bool Runnable = !DelayBounded || normalize(W.Exec, N.Cfg, N.Sched);
+  const bool IsBranch = N.Choice != Branch::None;
+  const NodeKeys K = IsBranch ? NodeKeys() : nodeKeys(W, N);
+  if (!IsBranch && !Runnable) { // Every machine awaits events.
+    noteConfig(W, K.CfgHash, N.Cfg, N.ByType);
+    noteTerminal(W, K.CfgHash);
+    return;
+  }
+  // The dominance value of a depth-bounded search is the depth, not the
+  // delays: a key first reached near the cut had its subtree cut short,
+  // so a later, shallower visit — more slices left before the cut —
+  // explores it again. The explored set is then every configuration
+  // reachable within DepthBound slices, whatever order the workers
+  // reach it in.
+  const int Spent = DelayBounded ? N.DelaysUsed : N.Depth;
+  if (IsBranch ? !admitBranch(W, N, Spent) : !admit(W, N, K, Spent))
+    return;
+  Sink Out{*this, W};
+  if (!W.Succ.expand(std::move(N), Out))
+    noteTerminal(W, K.CfgHash); // No machine is enabled.
 }
 
 void ParallelSearch::workerLoop(Worker &W) {
@@ -1484,18 +1301,8 @@ bool ParallelSearch::captureCheckpoint(ckpt::CheckpointData &D) {
       D.Exact.push_back({Key, Delays});
   }
 
-  if (Opts.TrackCoverage) {
-    D.Coverage.Machines.resize(Prog.Machines.size());
-    for (const auto &W : Workers)
-      for (size_t M = 0; M != W->Coverage.Machines.size(); ++M) {
-        auto &Into = D.Coverage.Machines[M];
-        const auto &From = W->Coverage.Machines[M];
-        Into.StatesVisited.insert(From.StatesVisited.begin(),
-                                  From.StatesVisited.end());
-        Into.TransitionsFired.insert(From.TransitionsFired.begin(),
-                                     From.TransitionsFired.end());
-      }
-  }
+  for (const auto &W : Workers)
+    D.Coverage.merge(W->Coverage);
   {
     std::lock_guard<std::mutex> L(BestMu);
     D.BestFound = Best.Found;
@@ -1584,16 +1391,7 @@ bool ParallelSearch::restoreCheckpoint(ckpt::CheckpointData &&D,
   W0.MaxDepth.store(D.MaxDepth, std::memory_order_relaxed);
   W0.TerminalHashes = std::move(D.TerminalHashes);
   if (Opts.TrackCoverage)
-    for (size_t M = 0; M != D.Coverage.Machines.size() &&
-                       M != W0.Coverage.Machines.size();
-         ++M) {
-      auto &Into = W0.Coverage.Machines[M];
-      auto &From = D.Coverage.Machines[M];
-      Into.StatesVisited.insert(From.StatesVisited.begin(),
-                                From.StatesVisited.end());
-      Into.TransitionsFired.insert(From.TransitionsFired.begin(),
-                                   From.TransitionsFired.end());
-    }
+    W0.Coverage.merge(D.Coverage);
 
   // Visited tables: the hashed ones restore positionally; Exact's map
   // re-shards by the same key hash the engine uses (byte accounting
@@ -1738,7 +1536,7 @@ CheckResult ParallelSearch::run() {
   NumWorkers = resolveWorkers();
   Workers.reserve(NumWorkers);
   for (unsigned I = 0; I != NumWorkers; ++I) {
-    Workers.push_back(std::make_unique<Worker>(I, deriveExec()));
+    Workers.push_back(std::make_unique<Worker>(I, deriveExec(), Opts));
     Worker *W = Workers.back().get();
     // Each worker records into its own sink (sinks are single-writer).
     // Always override the executor's sink: an external executor's
@@ -1896,18 +1694,8 @@ CheckResult ParallelSearch::run() {
     Result.Profile.VisitedSlots = Visited.slots();
   }
 
-  if (Opts.TrackCoverage) {
-    Result.Coverage.Machines.resize(Prog.Machines.size());
-    for (const auto &W : Workers)
-      for (size_t M = 0; M != W->Coverage.Machines.size(); ++M) {
-        auto &Into = Result.Coverage.Machines[M];
-        const auto &From = W->Coverage.Machines[M];
-        Into.StatesVisited.insert(From.StatesVisited.begin(),
-                                  From.StatesVisited.end());
-        Into.TransitionsFired.insert(From.TransitionsFired.begin(),
-                                     From.TransitionsFired.end());
-      }
-  }
+  for (const auto &W : Workers)
+    Result.Coverage.merge(W->Coverage);
 
   if (Best.Found) {
     Result.ErrorFound = true;

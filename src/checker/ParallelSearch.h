@@ -6,7 +6,10 @@
 ///
 /// \file
 /// The exploration engine behind check(): Opts.Workers threads, each
-/// with its own Executor and local DFS stack, sharing
+/// with its own Executor and local DFS stack. A node's children come
+/// from checker/Successors.h; this engine normalizes a node, admits it
+/// through the visited table, and pushes, keys, steals, checkpoints,
+/// spills and profiles what expand emits. The workers share
 ///
 ///  * one lock-striped visited table (checker/VisitedTable.h), probed
 ///    once per node — stripes keyed by the top bits of the

@@ -64,6 +64,16 @@ public:
     int32_t *D = Heap.empty() ? Inline.data() : Heap.data();
     std::rotate(D, D + size() - 1, D + size());
   }
+  /// Puts \p Id on top unless it is in S already: how a send, a `new`
+  /// and a host enqueue, creation or restart schedule their machine.
+  void arm(int32_t Id) {
+    if (!contains(Id))
+      push(Id);
+  }
+  void clear() {
+    Heap.clear();
+    InlineSize = 0;
+  }
   /// Removes every occurrence of \p Id.
   void remove(int32_t Id) {
     if (!Heap.empty())
@@ -82,8 +92,7 @@ public:
   void afterSlice(int32_t Id, const Executor::StepResult &R) {
     switch (R.Outcome) {
     case Executor::StepOutcome::SchedulingPoint:
-      if (!contains(R.Other))
-        push(R.Other);
+      arm(R.Other);
       return;
     case Executor::StepOutcome::Blocked:
       assert(!empty() && top() == Id);

@@ -4,19 +4,21 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The host's event pump deliberately follows the causal discipline of
-// the delaying scheduler with d = 0 (Section 5): a stack of runnable
-// machines where `new` and `send` push the child/receiver on top, so
-// the receiver of an event runs next. This makes the paper's claim —
-// "for d = 0, the real part of schedules explored by the delay bounded
-// scheduler are exactly the same as the one executed by the P runtime"
-// — literally true of this implementation, and our property tests
-// compare the two executions step by step.
+// The host's event pump is the delaying scheduler with d = 0 (Section
+// 5): a stack S of runnable machines where `new` and `send` push the
+// child/receiver on top, so the receiver of an event runs next. The
+// pump drives the checker's own SchedStack with the search's normalize
+// (checker/Successors.h) and SchedStack::afterSlice, so the paper's
+// claim — "for d = 0, the real part of schedules explored by the delay
+// bounded scheduler are exactly the same as the one executed by the P
+// runtime" — holds by construction, and our property tests compare the
+// two executions step by step.
 //
 //===----------------------------------------------------------------------===//
 
 #include "host/Host.h"
 
+#include "checker/Successors.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -131,47 +133,20 @@ void Host::registerForeign(const std::string &Machine,
 }
 
 void Host::drain() {
-  while (!Cfg.hasError() && !Sched.empty()) {
-    int32_t Id = Sched.front();
-    if (!Exec.isEnabled(Cfg, Id)) {
-      Sched.pop_front();
-      continue;
-    }
+  while (!Cfg.hasError() && normalize(Exec, Cfg, Sched)) {
+    const int32_t Id = Sched.top();
     ++Stats.SlicesRun;
     if (obs::TraceSink *T = Exec.traceSink())
       T->record(obs::TraceKind::Slice, Id);
-    Executor::StepResult R = Exec.step(Cfg, Id);
+    const Executor::StepResult R = Exec.step(Cfg, Id);
     Contexts.resize(Cfg.Machines.size(), nullptr);
-    switch (R.Outcome) {
-    case Executor::StepOutcome::SchedulingPoint: {
+    if (R.Outcome == Executor::StepOutcome::SchedulingPoint)
       noteQueueDepth(R.Other); // Internal sends deepen queues too.
-      bool InSched =
-          std::find(Sched.begin(), Sched.end(), R.Other) != Sched.end();
-      if (!InSched)
-        Sched.push_front(R.Other);
-      break;
-    }
-    case Executor::StepOutcome::Blocked:
-      Sched.pop_front();
-      break;
-    case Executor::StepOutcome::Halted:
-      Sched.erase(std::remove(Sched.begin(), Sched.end(), Id), Sched.end());
-      break;
-    case Executor::StepOutcome::ChoicePoint:
-      // Unreachable: the host installs a choice provider.
-      break;
-    case Executor::StepOutcome::ForeignCall:
-      // Unreachable: the host never enables foreign fault points.
-      break;
-    case Executor::StepOutcome::Error:
-      return;
-    }
+    // A slice never stops at a `*` (the host installs a choice
+    // provider) or at a foreign call (it never enables fault points).
+    Sched.afterSlice(Id, R);
   }
-}
-
-void Host::arm(int32_t Id) {
-  if (std::find(Sched.begin(), Sched.end(), Id) == Sched.end())
-    Sched.push_front(Id);
+  QueueCv.notify_all();
 }
 
 int32_t Host::createMachine(
@@ -209,9 +184,8 @@ int32_t Host::createMachine(
   CreationInits[Id] = Resolved;
   ++Stats.MachinesCreated;
   setLastError(HostError::None);
-  arm(Id);
+  Sched.arm(Id);
   drain();
-  QueueCv.notify_all();
   return Id;
 }
 
@@ -233,41 +207,47 @@ bool Host::deliver(int32_t Target, int32_t Event, const Value &Arg) {
   if (!Exec.enqueueEvent(Cfg, Target, Event, Arg))
     return false;
   noteEnqueue(Target, Event);
-  arm(Target);
+  Sched.arm(Target);
   drain();
-  QueueCv.notify_all();
   return !Cfg.hasError();
+}
+
+bool Host::acceptTarget(int32_t Target, bool OnReactor) const {
+  // API misuse is rejected before the semantics can raise an error
+  // config: the caller ("OS") naming a bad target is its mistake, not a
+  // P program error, so the configuration stays healthy and the boolean
+  // result does not conflate the two.
+  const int32_t Count = OnReactor
+                            ? R->machineCount()
+                            : static_cast<int32_t>(Cfg.Machines.size());
+  HostError E = HostError::None;
+  if (Target < 0 || Target >= Count)
+    E = HostError::UnknownMachine;
+  else if (OnReactor ? R->life(Target) == Reactor::Life::Dead
+                     : !Cfg.Machines[Target]->Alive &&
+                           !Cfg.Machines[Target]->Crashed)
+    E = HostError::DeadTarget;
+  setLastError(E);
+  return E == HostError::None;
+}
+
+void Host::dropPending(int32_t Id) {
+  std::erase_if(Pending,
+                [&](const PendingDispatch &P) { return P.Target == Id; });
 }
 
 bool Host::addEvent(int32_t Target, const std::string &EventName,
                     Value Arg) {
-  if (ReactorOn.load(std::memory_order_acquire)) {
-    int Event = Prog.findEvent(EventName);
-    if (Event < 0) {
-      setLastError(HostError::UnknownEvent);
-      return false;
-    }
-    return addEventReactor(Target, Event, Arg);
-  }
-  std::unique_lock<std::mutex> Lock(PumpMutex);
-  int Event = Prog.findEvent(EventName);
+  const int Event = Prog.findEvent(EventName);
   if (Event < 0) {
     setLastError(HostError::UnknownEvent);
     return false;
   }
-  // Classify API misuse and reject it before the semantics can raise an
-  // error config: the caller ("OS") naming a bad target is its mistake,
-  // not a P program error, so the configuration stays healthy and the
-  // boolean result no longer conflates the two.
-  if (Target < 0 || Target >= static_cast<int32_t>(Cfg.Machines.size())) {
-    setLastError(HostError::UnknownMachine);
+  if (ReactorOn.load(std::memory_order_acquire))
+    return addEventReactor(Target, Event, Arg);
+  std::unique_lock<std::mutex> Lock(PumpMutex);
+  if (!acceptTarget(Target, false))
     return false;
-  }
-  if (!Cfg.Machines[Target]->Alive && !Cfg.Machines[Target]->Crashed) {
-    setLastError(HostError::DeadTarget);
-    return false;
-  }
-  setLastError(HostError::None);
 
   // Back-pressure (OverflowPolicy::Block): wait until the full queue
   // has room, the target dies, or the system errors. Another thread
@@ -323,26 +303,15 @@ bool Host::addEvent(int32_t Target, const std::string &EventName,
         if (T)
           T->record(obs::TraceKind::FaultInjected, Target,
                     static_cast<int32_t>(FaultKind::DelayEvent), Event);
-        TimerEntry D;
-        D.Target = Target;
-        D.Event = Event;
-        D.Arg = Arg;
-        D.Deadline = std::chrono::steady_clock::now();
-        Wheel.schedule(std::move(D));
+        Wheel.schedule({Target, Event, Arg, std::chrono::steady_clock::now()});
         return !Cfg.hasError();
       }
       case FaultKind::CrashMachine:
         // The process died before the delivery: both vanish.
         ++Stats.MachinesCrashed;
         Exec.crashMachine(Cfg, Target);
-        Sched.erase(std::remove(Sched.begin(), Sched.end(), Target),
-                    Sched.end());
-        // Its queue is gone: open enqueues can never be dequeued.
-        Pending.erase(std::remove_if(Pending.begin(), Pending.end(),
-                                     [&](const PendingDispatch &P) {
-                                       return P.Target == Target;
-                                     }),
-                      Pending.end());
+        Sched.remove(Target);
+        dropPending(Target);
         QueueCv.notify_all();
         return !Cfg.hasError();
       case FaultKind::RestartMachine:
@@ -356,25 +325,16 @@ bool Host::addEvent(int32_t Target, const std::string &EventName,
     return false;
   ++Stats.EventsDelivered;
   noteEnqueue(Target, Event);
-  arm(Target);
+  Sched.arm(Target);
   drain();
-  QueueCv.notify_all();
   flushDelayed();
   return !Cfg.hasError();
 }
 
 bool Host::addEventReactor(int32_t Target, int32_t Event,
                            const Value &Arg) {
-  if (Target < 0 || Target >= R->machineCount()) {
-    setLastError(HostError::UnknownMachine);
+  if (!acceptTarget(Target, true))
     return false;
-  }
-  Reactor::Life L = R->life(Target);
-  if (L == Reactor::Life::Dead) {
-    setLastError(HostError::DeadTarget);
-    return false;
-  }
-  setLastError(HostError::None);
   std::atomic_ref<uint64_t>(AddEventCalls)
       .fetch_add(1, std::memory_order_relaxed);
   if (HasPlan) {
@@ -386,7 +346,7 @@ bool Host::addEventReactor(int32_t Target, int32_t Event,
               .load(std::memory_order_relaxed),
           Event);
     }
-    if (A.Inject && L == Reactor::Life::Live) {
+    if (A.Inject && R->life(Target) == Reactor::Life::Live) {
       switch (A.Kind) {
       case FaultKind::DropEvent:
         bumpStat(Stats.EventsDropped);
@@ -405,12 +365,7 @@ bool Host::addEventReactor(int32_t Target, int32_t Event,
       case FaultKind::DelayEvent: {
         bumpStat(Stats.EventsDelayed);
         bumpStat(Stats.TimersScheduled);
-        TimerEntry D;
-        D.Target = Target;
-        D.Event = Event;
-        D.Arg = Arg;
-        D.Deadline = std::chrono::steady_clock::now();
-        Wheel.schedule(std::move(D));
+        Wheel.schedule({Target, Event, Arg, std::chrono::steady_clock::now()});
         R->timerArmed();
         return !Cfg.hasError();
       }
@@ -440,33 +395,10 @@ bool Host::addEventAfter(int32_t Target, const std::string &EventName,
     setLastError(HostError::UnknownEvent);
     return false;
   }
-  if (OnReactor) {
-    if (Target < 0 || Target >= R->machineCount()) {
-      setLastError(HostError::UnknownMachine);
-      return false;
-    }
-    if (R->life(Target) == Reactor::Life::Dead) {
-      setLastError(HostError::DeadTarget);
-      return false;
-    }
-  } else {
-    if (Target < 0 ||
-        Target >= static_cast<int32_t>(Cfg.Machines.size())) {
-      setLastError(HostError::UnknownMachine);
-      return false;
-    }
-    if (!Cfg.Machines[Target]->Alive && !Cfg.Machines[Target]->Crashed) {
-      setLastError(HostError::DeadTarget);
-      return false;
-    }
-  }
-  setLastError(HostError::None);
-  TimerEntry E;
-  E.Target = Target;
-  E.Event = Event;
-  E.Arg = std::move(Arg);
-  E.Deadline = std::chrono::steady_clock::now() + Delay;
-  Wheel.schedule(std::move(E));
+  if (!acceptTarget(Target, OnReactor))
+    return false;
+  Wheel.schedule({Target, Event, std::move(Arg),
+                  std::chrono::steady_clock::now() + Delay});
   if (OnReactor) {
     bumpStat(Stats.TimersScheduled);
     R->timerArmed();
@@ -519,9 +451,8 @@ bool Host::stopReactor() {
   // Resume the serial pump on whatever the folded mailboxes left.
   for (int32_t Id = static_cast<int32_t>(Cfg.Machines.size()); Id-- > 0;)
     if (Exec.isEnabled(Cfg, Id))
-      arm(Id);
+      Sched.arm(Id);
   drain();
-  QueueCv.notify_all();
   return !Cfg.hasError();
 }
 
@@ -535,11 +466,7 @@ bool Host::runToCompletion() {
   }
   std::lock_guard<std::mutex> Lock(PumpMutex);
   flushDelayed();
-  for (int32_t Id = static_cast<int32_t>(Cfg.Machines.size()); Id-- > 0;)
-    if (Exec.isEnabled(Cfg, Id))
-      arm(Id);
   drain();
-  QueueCv.notify_all();
   return !Cfg.hasError();
 }
 
@@ -571,14 +498,10 @@ bool Host::crashMachine(int32_t Id) {
   if (!Cfg.isLive(Id))
     return false;
   Exec.crashMachine(Cfg, Id);
-  Sched.erase(std::remove(Sched.begin(), Sched.end(), Id), Sched.end());
+  Sched.remove(Id);
   ++Stats.MachinesCrashed;
   Wheel.cancelFor(Id); // Fail-stop cancels its pending timers too.
-  Pending.erase(std::remove_if(Pending.begin(), Pending.end(),
-                               [&](const PendingDispatch &P) {
-                                 return P.Target == Id;
-                               }),
-                Pending.end());
+  dropPending(Id);
   QueueCv.notify_all(); // A blocked send to this queue can stop waiting.
   return true;
 }
@@ -664,9 +587,8 @@ bool Host::restartMachine(int32_t Id) {
   if (!Exec.restartMachine(Cfg, Id, Inits))
     return false;
   ++Stats.MachinesRestarted;
-  arm(Id);
+  Sched.arm(Id);
   drain();
-  QueueCv.notify_all();
   return !Cfg.hasError();
 }
 

@@ -15,6 +15,11 @@
 /// when driven from multiple threads, and a per-machine external-memory
 /// pointer for foreign code.
 ///
+/// The serial pump is the checker's scheduler at delay bound 0: it runs
+/// the top of the search's stack S (checker/SchedStack.h) and moves S
+/// with the search's own normalize and SchedStack::afterSlice, so
+/// d = 0 ≡ host holds by construction.
+///
 /// The host runs the *erased* program: ghost machines do not exist here;
 /// the caller (the "OS") produces the events the ghost environment
 /// produced during verification.
@@ -24,6 +29,7 @@
 #ifndef P_HOST_HOST_H
 #define P_HOST_HOST_H
 
+#include "checker/SchedStack.h"
 #include "fault/FaultPlan.h"
 #include "host/Reactor.h"
 #include "host/TimerWheel.h"
@@ -34,7 +40,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -258,10 +263,9 @@ public:
 
 private:
   /// Runs the scheduler stack to quiescence (the d = 0 causal
-  /// discipline; see Host.cpp).
+  /// discipline; see Host.cpp), then wakes addEvent calls blocked on a
+  /// full queue.
   void drain();
-  /// Puts machine \p Id on top of the scheduler stack if absent.
-  void arm(int32_t Id);
   /// Delivers events a fault plan postponed (PumpMutex held).
   void flushDelayed();
   /// Enqueues + pumps one delivery (PumpMutex held); the shared tail of
@@ -273,6 +277,12 @@ private:
   /// Folds machine \p Id's current queue depth into the high-water
   /// marks (PumpMutex held).
   void noteQueueDepth(int32_t Id);
+  /// True when \p Target names a machine that may take an event;
+  /// records the calling thread's HostError either way.
+  bool acceptTarget(int32_t Target, bool OnReactor) const;
+  /// Forgets the open enqueues of crashed machine \p Id: its queue is
+  /// gone, so they can never be dequeued (PumpMutex held).
+  void dropPending(int32_t Id);
   /// Dequeue-observer body: closes the oldest matching pending enqueue
   /// into DispatchLatency (runs inside the pump, PumpMutex held).
   void noteDequeue(int32_t Machine, int32_t Event);
@@ -300,7 +310,7 @@ private:
   HostStats Stats;
   mutable HostStats Folded; ///< stats() scratch (PumpMutex held).
   std::vector<void *> Contexts;
-  std::deque<int32_t> Sched; ///< The d = 0 scheduler stack.
+  SchedStack Sched; ///< The d = 0 scheduler stack S.
   std::mt19937_64 Rng;
   std::mutex RngMu; ///< Reactor workers share the choice provider.
   mutable std::mutex PumpMutex; ///< Serializes host entry points.

@@ -160,6 +160,36 @@ TEST(Checkpoint, KillAndResumeAcrossVisitedModes) {
       << "no stripe grew before the cut";
 }
 
+// Coverage only observes the search, so it is not part of the search
+// fingerprint: a run checkpointed without coverage resumes with it
+// turned on (a sweep first run without --report, then resumed with
+// it), explores the same states, and counts coverage from the resume
+// onward.
+TEST(Checkpoint, ResumeMayTurnOnCoverage) {
+  CompiledProgram Prog = compile(corpus::german(1));
+  CheckOptions Full = baseOpts(1, VisitedMode::Fingerprint, Reduction::Off);
+  const CheckResult Baseline = check(Prog, Full);
+
+  TempCkpt C("cov");
+  CheckOptions Cut = Full;
+  Cut.MaxNodes = Baseline.Stats.NodesExplored / 3;
+  Cut.CheckpointPath = C.Path;
+  const CheckResult Partial = check(Prog, Cut);
+  ASSERT_FALSE(Partial.Stats.Exhausted);
+
+  CheckOptions Res = Full;
+  Res.TrackCoverage = true;
+  Res.CheckpointPath = C.Path;
+  Res.Resume = true;
+  const CheckResult Resumed = check(Prog, Res);
+  EXPECT_TRUE(Resumed.Stats.Resumed);
+  expectIdentical(Baseline, Resumed, "german1 resumed with coverage");
+  size_t StatesCovered = 0;
+  for (const auto &M : Resumed.Coverage.Machines)
+    StatesCovered += M.StatesVisited.size();
+  EXPECT_GT(StatesCovered, 0u) << "coverage counts from the resume onward";
+}
+
 TEST(Checkpoint, CutAndResumeKeepTheLexLeastCounterexample) {
   // Every frontier node carries the decision that made it uncommitted;
   // the checkpoint must keep it, so a resumed search reports exactly

@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "checker/StateHash.h"
+#include "corpus/Corpus.h"
 #include "frontend/Frontend.h"
 #include "host/Host.h"
 
@@ -212,6 +214,43 @@ main machine Player {
   EXPECT_EQ(H2.readVar(X, "Count"), Value::integer(10));
   EXPECT_EQ(H2.stats().EventsDelivered, 1u);
   EXPECT_FALSE(H2.hasError());
+}
+
+// The serial pump's slice count and final configuration on scripted
+// runs: the elevator through its door cycle three times, and pubSub(4)
+// through 100 publishes with a subscriber crashed for ten of them and
+// then restarted. A change to which machine the pump runs next moves
+// these numbers.
+TEST(Host, ScriptedPumpIsPinned) {
+  CompiledProgram Elevator = compileErased(corpus::elevator());
+  Host E(Elevator);
+  const int32_t Id = E.createMachine("Elevator");
+  ASSERT_GE(Id, 0);
+  for (int Round = 0; Round != 3; ++Round)
+    for (const char *Event : {"OpenDoor", "DoorOpened", "TimerFired",
+                              "CloseDoor", "OperationSuccess", "DoorClosed"})
+      ASSERT_TRUE(E.addEvent(Id, Event)) << Event << ": " << E.errorMessage();
+  EXPECT_EQ(E.currentStateName(Id), "DoorClosed");
+  EXPECT_EQ(E.stats().SlicesRun, 19u);
+  EXPECT_EQ(hashConfig(E.config()), 0xdfdfcaa37681caf0ull);
+
+  CompiledProgram PubSub = compileErased(corpus::pubSub(4));
+  Host P(PubSub);
+  const int32_t Broker = P.createMachine("Broker");
+  ASSERT_GE(Broker, 0);
+  ASSERT_TRUE(P.runToCompletion());
+  for (int I = 0; I != 100; ++I) {
+    if (I == 50) {
+      ASSERT_TRUE(P.crashMachine(1));
+    }
+    if (I == 60) {
+      ASSERT_TRUE(P.restartMachine(1));
+    }
+    ASSERT_TRUE(P.addEvent(Broker, "Publish", Value::integer(I)));
+  }
+  ASSERT_TRUE(P.runToCompletion());
+  EXPECT_EQ(P.stats().SlicesRun, 900u);
+  EXPECT_EQ(hashConfig(P.config()), 0xb762dbd8d830210dull);
 }
 
 } // namespace
